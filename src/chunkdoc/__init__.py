@@ -9,8 +9,8 @@ from .chunker import Chunk, ChunkingConfig, chunk_document, mean_words_per_chunk
 from .corpus import (Corpus, CorpusStats, DatasetSplit, Document, LabelSet, corpus_stats,
                      load_corpus, split_dataset, strip_boilerplate, tokenize)
 from .embedder import (ChunkEmbedding, EmbedderConfig, PVDMModel, Vocabulary, build_vocab,
-                       embed_corpus, export_chunk_embeddings, infer_vector, load_pvdm,
-                       sample_embedding_training_docs, save_pvdm, train_pvdm)
+                       embed_chunks, embed_corpus, export_chunk_embeddings, infer_vector,
+                       load_pvdm, sample_embedding_training_docs, save_pvdm, train_pvdm)
 from .errors import ConfigError, DataError, OOVChunkError, TrainingError
 from .evaluation import EvalReport, confusion_matrix, export_embeddings, f1_report, macro_f1
 from .pipeline import (PipelineSettings, TrainedPipeline, evaluate_linear, evaluate_svm,

@@ -13,18 +13,16 @@ import copy
 import json
 import logging
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
-from . import binio
+from . import checkpoint
 from .corpus import Corpus, DatasetSplit, LabelSet
 from .embedder import ChunkEmbedding
 from .errors import DataError, TrainingError
 
 logger = logging.getLogger(__name__)
-
-AGG_MAGIC = b"AGG1"
-AGG_VERSION = 1
 
 PARAM_ORDER = (
     "lstm_f.Wx", "lstm_f.Wh", "lstm_f.b",
@@ -44,9 +42,11 @@ class AggregatorConfig:
     patience: int = 10
     bn_momentum: float = 0.9
     bn_epsilon: float = 1e-8
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_epsilon: float = 1e-8
+    seed: int = 7  # the run's seed for every stage; library calls pass it explicitly
+    seeds: list[int] = field(default_factory=list)  # sweep seeds; empty means [seed]
+    beta1: ClassVar[float] = 0.9  # Adam's usual constants, not configurable
+    beta2: ClassVar[float] = 0.999
+    adam_epsilon: ClassVar[float] = 1e-8
 
 
 def _sigmoid(x):
@@ -579,66 +579,29 @@ def write_training_log(log: list[dict], path) -> None:
 # checkpointing
 
 def save_aggregator(model: AggregatorModel, path) -> None:
-    """Binary checkpoint; save -> load -> forward agrees bitwise."""
-    with open(path, "wb") as f:
-        f.write(AGG_MAGIC)
-        binio.write_u32(f, AGG_VERSION)
-        binio.write_u32(f, len(model.labels))
-        for label in model.labels:
-            binio.write_str(f, label)
-        binio.write_u32(f, model.embedding_dim)
-        binio.write_u32(f, model.hidden_size)
-        binio.write_u32(f, model.n_chunks)
-        binio.write_f64(f, model.bn_momentum)
-        binio.write_f64(f, model.bn_epsilon)
-        for key in PARAM_ORDER:
-            binio.write_array(f, model.params[key], "<f4")
-        binio.write_array(f, model.bn_mean, "<f4")
-        binio.write_array(f, model.bn_var, "<f4")
-        if model.adam is None:
-            binio.write_u8(f, 0)
-        else:
-            binio.write_u8(f, 1)
-            binio.write_u64(f, model.adam.t)
-            for key in PARAM_ORDER:
-                binio.write_array(f, model.adam.m[key], "<f4")
-            for key in PARAM_ORDER:
-                binio.write_array(f, model.adam.v[key], "<f4")
+    """Checkpoint (see `checkpoint`); save -> load -> forward agrees bitwise."""
+    header = {
+        "labels": model.labels, "embedding_dim": model.embedding_dim,
+        "hidden_size": model.hidden_size, "n_chunks": model.n_chunks,
+        "bn_momentum": model.bn_momentum, "bn_epsilon": model.bn_epsilon,
+        "adam_t": None if model.adam is None else model.adam.t,
+    }
+    arrays = {key: model.params[key] for key in PARAM_ORDER}
+    arrays.update({"bn.mean": model.bn_mean, "bn.var": model.bn_var})
+    if model.adam is not None:
+        arrays.update({f"adam.m.{key}": model.adam.m[key] for key in PARAM_ORDER})
+        arrays.update({f"adam.v.{key}": model.adam.v[key] for key in PARAM_ORDER})
+    checkpoint.save(path, "aggregator", header, arrays)
 
 
 def load_aggregator(path) -> AggregatorModel:
-    with open(path, "rb") as f:
-        binio.check_magic(f, AGG_MAGIC)
-        version = binio.read_u32(f)
-        if version != AGG_VERSION:
-            raise IOError(f"unsupported checkpoint version {version}")
-        n_labels = binio.read_u32(f)
-        labels = [binio.read_str(f) for _ in range(n_labels)]
-        embedding_dim = binio.read_u32(f)
-        hidden_size = binio.read_u32(f)
-        n_chunks = binio.read_u32(f)
-        bn_momentum = binio.read_f64(f)
-        bn_epsilon = binio.read_f64(f)
-        model = AggregatorModel(labels, embedding_dim, hidden_size, n_chunks,
-                                seed=0, bn_momentum=bn_momentum, bn_epsilon=bn_epsilon)
-        h, e, d, c = hidden_size, embedding_dim, 2 * hidden_size, n_labels
-        shapes = {
-            "lstm_f.Wx": (4 * h, e), "lstm_f.Wh": (4 * h, h), "lstm_f.b": (4 * h,),
-            "lstm_b.Wx": (4 * h, e), "lstm_b.Wh": (4 * h, h), "lstm_b.b": (4 * h,),
-            "attn.Wa": (d, d), "attn.ba": (d,), "attn.uw": (d,),
-            "bn.gamma": (d,), "bn.beta": (d,),
-            "head.W": (c, d), "head.b": (c,),
-        }
-        for key in PARAM_ORDER:
-            model.params[key] = binio.read_array(f, shapes[key], "<f4")
-        model.bn_mean = binio.read_array(f, (d,), "<f4")
-        model.bn_var = binio.read_array(f, (d,), "<f4")
-        if binio.read_u8(f):
-            state = AdamState.like(model.params)
-            state.t = binio.read_u64(f)
-            for key in PARAM_ORDER:
-                state.m[key] = binio.read_array(f, shapes[key], "<f4")
-            for key in PARAM_ORDER:
-                state.v[key] = binio.read_array(f, shapes[key], "<f4")
-            model.adam = state
-        return model
+    h, a = checkpoint.load(path, "aggregator")
+    model = AggregatorModel(h["labels"], h["embedding_dim"], h["hidden_size"], h["n_chunks"],
+                            seed=0, bn_momentum=h["bn_momentum"], bn_epsilon=h["bn_epsilon"])
+    model.params = {key: a[key] for key in PARAM_ORDER}
+    model.bn_mean, model.bn_var = a["bn.mean"], a["bn.var"]
+    if h["adam_t"] is not None:
+        model.adam = AdamState(t=h["adam_t"],
+                               m={key: a[f"adam.m.{key}"] for key in PARAM_ORDER},
+                               v={key: a[f"adam.v.{key}"] for key in PARAM_ORDER})
+    return model

@@ -23,7 +23,7 @@ class Chunk:
 
 @dataclass(frozen=True)
 class ChunkingConfig:
-    n_chunks: int = 1
+    n_chunks: int = 3
 
     def __post_init__(self):
         if self.n_chunks < 1:

@@ -4,7 +4,8 @@ Commands: prepare, train, evaluate, predict, sweep. One JSON config file
 drives everything; flags override it. All artifacts land in
 ``<output_dir>/<run_name>/`` next to a copy of the resolved configuration.
 
-Exit codes: 0 success, 2 input/config error, 3 data error, 4 training failure.
+Exit codes: 0 success, 2 input/config error (including a missing or unreadable
+checkpoint), 3 data error, 4 training failure.
 """
 
 from __future__ import annotations
@@ -17,17 +18,17 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
-
-from .aggregator import load_aggregator, save_aggregator, write_training_log, collate
-from .chunker import split_into_chunks
+from .aggregator import (collate, document_vectors, load_aggregator, save_aggregator,
+                         write_training_log)
+from .chunker import ChunkingConfig, split_into_chunks
 from .config import PipelineConfig, load_config
 from .corpus import DatasetSplit, corpus_stats, load_corpus, split_dataset, tokenize
-from .embedder import (embed_corpus, export_chunk_embeddings, infer_vector,
-                       load_chunk_embeddings, load_pvdm, save_pvdm, _chunk_seed)
+from .embedder import (embed_chunks, embed_corpus, export_chunk_embeddings,
+                       load_chunk_embeddings, load_pvdm, save_pvdm)
 from .errors import ConfigError, DataError, TrainingError
 from .evaluation import export_embeddings
-from .pipeline import evaluate_linear, evaluate_svm, mean_chunk_vectors, train_pipeline
+from .pipeline import (TrainedPipeline, evaluate_linear, evaluate_svm, mean_chunk_vectors,
+                       train_pipeline)
 from .svm import load_svm, save_svm
 from .sweep import DEFAULT_N_LIST, format_sweep_table, run_chunk_sweep, write_sweep_tsv
 
@@ -64,7 +65,7 @@ def _resolved_config(args) -> PipelineConfig:
     if args.chunks is not None:
         if args.chunks < 1:
             raise ConfigError(f"--chunks must be >= 1, got {args.chunks}")
-        config.chunking.n_chunks = args.chunks
+        config.chunking = ChunkingConfig(args.chunks)
     if getattr(args, "classifier", None) is not None:
         config.classifier = args.classifier
     return config
@@ -133,34 +134,40 @@ def cmd_train(args) -> int:
     return 0
 
 
-class _LoadedRun:
-    """Checkpoints plus re-derived embeddings for evaluate."""
+def _checkpoint(load, path: Path, hint: str = "run `train` first"):
+    """Load one checkpoint; a missing or unreadable file is a ConfigError (exit 2)."""
+    if not path.is_file():
+        raise ConfigError(f"missing checkpoint {path}; {hint}")
+    try:
+        return load(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read checkpoint: {exc}; run `train` again") from None
 
-    def __init__(self, config: PipelineConfig, corpus, need_svm: bool):
-        run_dir = config.run_dir()
-        pvdm_path = run_dir / "pvdm.bin"
-        agg_path = run_dir / "aggregator.bin"
-        for path in (pvdm_path, agg_path):
-            if not path.is_file():
-                raise ConfigError(f"missing checkpoint {path}; run `train` first")
-        self.pvdm = load_pvdm(pvdm_path)
-        self.aggregator = load_aggregator(agg_path)
-        self.svm = None
-        if need_svm:
-            svm_path = run_dir / "svm.bin"
-            if not svm_path.is_file():
-                raise ConfigError(f"missing checkpoint {svm_path}; train with --classifier svm")
-            self.svm = load_svm(svm_path)
-        cached = run_dir / "chunk_embeddings.tsv"
-        if cached.is_file():
-            self.embeddings = load_chunk_embeddings(cached)
-        else:
-            self.embeddings = embed_corpus(
-                self.pvdm, corpus, self.aggregator.n_chunks,
-                steps=config.embedder.infer_steps, seed=config.aggregator.seed,
-                alpha=config.embedder.alpha, min_alpha=config.embedder.min_alpha,
-            )
-        self.n_chunks = self.aggregator.n_chunks
+
+def _load_run(config: PipelineConfig, corpus, need_svm: bool) -> TrainedPipeline:
+    """The trained pipeline in a run directory. Chunk vectors come from
+    chunk_embeddings.tsv; pvdm.bin is read only to re-embed when it is missing."""
+    run_dir = config.run_dir()
+    aggregator = _checkpoint(load_aggregator, run_dir / "aggregator.bin")
+    svm = None
+    if need_svm:
+        svm = _checkpoint(load_svm, run_dir / "svm.bin", "train with --classifier svm")
+    pvdm = None
+    cached = run_dir / "chunk_embeddings.tsv"
+    if cached.is_file():
+        embeddings = load_chunk_embeddings(cached)
+    else:
+        pvdm = _checkpoint(load_pvdm, run_dir / "pvdm.bin")
+        embeddings = embed_corpus(
+            pvdm, corpus, aggregator.n_chunks,
+            steps=config.embedder.infer_steps, seed=config.aggregator.seed,
+            alpha=config.embedder.alpha, min_alpha=config.embedder.min_alpha,
+        )
+    return TrainedPipeline(
+        pvdm=pvdm, embeddings=embeddings, aggregator=aggregator, train_log=[],
+        doc_vectors=document_vectors(aggregator, embeddings), svm=svm,
+        n_chunks=aggregator.n_chunks,
+    )
 
 
 def cmd_evaluate(args) -> int:
@@ -169,15 +176,7 @@ def cmd_evaluate(args) -> int:
     heads = {"linear": ["linear"], "svm": ["svm"], "both": ["linear", "svm"]}[config.classifier]
     with run_lock(run_dir):
         corpus, split = _load_prepared(config)
-        run = _LoadedRun(config, corpus, need_svm="svm" in heads)
-        from .pipeline import TrainedPipeline  # assembled from checkpoints
-        from .aggregator import document_vectors
-
-        doc_vecs = document_vectors(run.aggregator, run.embeddings)
-        pipe = TrainedPipeline(
-            pvdm=run.pvdm, embeddings=run.embeddings, aggregator=run.aggregator,
-            train_log=[], doc_vectors=doc_vecs, svm=run.svm, n_chunks=run.n_chunks,
-        )
+        pipe = _load_run(config, corpus, need_svm="svm" in heads)
         split_names = ["validation", "test"] if args.split == "all" else [args.split]
         for split_name in split_names:
             doc_ids = getattr(split, split_name)
@@ -196,40 +195,20 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     config = _resolved_config(args)
     run_dir = config.run_dir()
-    pvdm_path = run_dir / "pvdm.bin"
-    agg_path = run_dir / "aggregator.bin"
-    for path in (pvdm_path, agg_path):
-        if not path.is_file():
-            raise ConfigError(f"missing checkpoint {path}; run `train` first")
+    pvdm = _checkpoint(load_pvdm, run_dir / "pvdm.bin")
+    aggregator = _checkpoint(load_aggregator, run_dir / "aggregator.bin")
     input_path = Path(args.input)
     if not input_path.is_file():
         raise ConfigError(f"input file not found: {input_path}")
-    pvdm = load_pvdm(pvdm_path)
-    aggregator = load_aggregator(agg_path)
     n_chunks = args.chunks if args.chunks is not None else aggregator.n_chunks
 
-    text = input_path.read_text(encoding="utf-8")
-    tokens = tokenize(text)
+    tokens = tokenize(input_path.read_text(encoding="utf-8"))
     if not tokens:
         raise DataError(f"document {input_path} is empty after preprocessing")
-    from .embedder import ChunkEmbedding, _infer_batch
-
-    doc_id = input_path.stem
-    chunks = split_into_chunks(tokens, n_chunks, doc_id=doc_id)
-    embs = []
-    for chunk in chunks:
-        ids = pvdm.vocab.encode(chunk.tokens)
-        if ids.size == 0:
-            vec = np.zeros(pvdm.dim, dtype=np.float32)
-        else:
-            vec = _infer_batch(
-                pvdm, [ids], config.embedder.infer_steps,
-                [_chunk_seed(config.aggregator.seed, doc_id, chunk.index)],
-                config.embedder.alpha, config.embedder.min_alpha,
-            )[0]
-        embs.append(ChunkEmbedding(doc_id, chunk.index, vec))
-    x, mask = collate([embs])
-    _, probs = aggregator.predict(x, mask)
+    chunks = split_into_chunks(tokens, n_chunks, doc_id=input_path.stem)
+    e = config.embedder
+    embs = embed_chunks(pvdm, chunks, e.infer_steps, config.aggregator.seed, e.alpha, e.min_alpha)
+    _, probs = aggregator.predict(*collate([embs]))
     probabilities = {lab: float(p) for lab, p in zip(aggregator.labels, probs[0])}
     label = aggregator.labels[int(probs[0].argmax())]
     print(json.dumps({"label": label, "probabilities": probabilities}))

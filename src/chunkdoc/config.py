@@ -1,8 +1,10 @@
 """Declarative JSON configuration for the batch pipeline.
 
-Unknown keys are rejected so typos fail loudly; command-line flags override
-file values. The resolved configuration is written into each run directory
-for provenance.
+The chunking, embedder, aggregator and svm sections are the stage configs
+themselves; `embedder.per_class` and `aggregator.seed`/`seeds` are the only
+keys that are not stage hyperparameters. Unknown keys are rejected so typos
+fail loudly; command-line flags override file values. The resolved
+configuration is written into each run directory for provenance.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .aggregator import AggregatorConfig
+from .chunker import ChunkingConfig
 from .corpus import DEFAULT_HEADER_LABELS, LabelSet
 from .embedder import EmbedderConfig
 from .errors import ConfigError
@@ -33,54 +36,13 @@ class SplitSection:
 
 
 @dataclass
-class ChunkingSection:
-    n_chunks: int = 3
-
-
-@dataclass
-class EmbedderSection:
-    dim: int = 100
-    window: int = 5
-    epochs: int = 40
-    negative: int = 5
-    min_count: int = 5
-    alpha: float = 0.025
-    min_alpha: float = 0.0001
-    noise_exponent: float = 0.75
-    infer_steps: int = 50
-    per_class: int = 30
-    workers: int = 1
-
-
-@dataclass
-class AggregatorSection:
-    hidden_size: int = 64
-    learning_rate: float = 0.001
-    batch_size: int = 32  # 1000 matches the documented full-corpus setup
-    epochs: int = 100
-    patience: int = 10
-    bn_momentum: float = 0.9
-    bn_epsilon: float = 1e-8
-    seed: int = 7
-    seeds: list[int] = field(default_factory=list)  # sweep seeds; defaults to [seed]
-
-
-@dataclass
-class SvmSection:
-    gamma: float | None = None
-    C: float = 1.0
-    tolerance: float = 0.001
-    max_passes: int = 20000
-
-
-@dataclass
 class PipelineConfig:
     corpus: CorpusSection = field(default_factory=CorpusSection)
     split: SplitSection = field(default_factory=SplitSection)
-    chunking: ChunkingSection = field(default_factory=ChunkingSection)
-    embedder: EmbedderSection = field(default_factory=EmbedderSection)
-    aggregator: AggregatorSection = field(default_factory=AggregatorSection)
-    svm: SvmSection = field(default_factory=SvmSection)
+    chunking: ChunkingConfig = field(default_factory=ChunkingConfig)
+    embedder: EmbedderConfig = field(default_factory=EmbedderConfig)
+    aggregator: AggregatorConfig = field(default_factory=AggregatorConfig)
+    svm: SVMConfig = field(default_factory=SVMConfig)
     classifier: str = "linear"  # linear | svm | both
     output_dir: str = "runs"
     run_name: str = "run"
@@ -95,25 +57,8 @@ class PipelineConfig:
         return list(self.aggregator.seeds) or [self.aggregator.seed]
 
     def settings(self) -> PipelineSettings:
-        e = self.embedder
-        a = self.aggregator
-        s = self.svm
-        return PipelineSettings(
-            embedder=EmbedderConfig(
-                dim=e.dim, window=e.window, epochs=e.epochs, negative=e.negative,
-                min_count=e.min_count, alpha=e.alpha, min_alpha=e.min_alpha,
-                noise_exponent=e.noise_exponent, infer_steps=e.infer_steps,
-                workers=e.workers,
-            ),
-            aggregator=AggregatorConfig(
-                hidden_size=a.hidden_size, learning_rate=a.learning_rate,
-                batch_size=a.batch_size, epochs=a.epochs, patience=a.patience,
-                bn_momentum=a.bn_momentum, bn_epsilon=a.bn_epsilon,
-            ),
-            svm=SVMConfig(gamma=s.gamma, C=s.C, tolerance=s.tolerance,
-                          max_passes=s.max_passes),
-            per_class=e.per_class,
-        )
+        return PipelineSettings(embedder=self.embedder, aggregator=self.aggregator,
+                                svm=self.svm, per_class=self.embedder.per_class)
 
     def run_dir(self) -> Path:
         return Path(self.output_dir) / self.run_name
@@ -132,18 +77,15 @@ def _build_section(cls, data, where: str):
     unknown = sorted(set(data) - known)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
-    return cls(**data)
+    try:
+        return cls(**data)
+    except ValueError as exc:  # a stage config's own range check
+        raise ConfigError(f"{where}: {exc}") from None
 
 
-_SECTIONS = {
-    "corpus": CorpusSection,
-    "split": SplitSection,
-    "chunking": ChunkingSection,
-    "embedder": EmbedderSection,
-    "aggregator": AggregatorSection,
-    "svm": SvmSection,
-}
-_SCALARS = {"classifier", "output_dir", "run_name"}
+_SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(PipelineConfig)
+             if f.default_factory is not dataclasses.MISSING}
+_SCALARS = {f.name for f in dataclasses.fields(PipelineConfig)} - set(_SECTIONS)
 
 
 def parse_config(data: dict) -> PipelineConfig:
@@ -184,9 +126,8 @@ def validate_config(config: PipelineConfig) -> None:
         raise ConfigError(f"classifier must be linear|svm|both, got {config.classifier!r}")
     if len(config.corpus.labels) < 2:
         raise ConfigError("corpus.labels needs at least 2 labels")
-    positive(config.chunking.n_chunks, "chunking.n_chunks")
     e = config.embedder
-    for name in ("dim", "window", "negative", "min_count", "per_class", "workers"):
+    for name in ("dim", "window", "negative", "min_count", "per_class"):
         positive(getattr(e, name), f"embedder.{name}")
     for name in ("epochs", "infer_steps"):
         if getattr(e, name) < 0:
@@ -200,11 +141,6 @@ def validate_config(config: PipelineConfig) -> None:
     if not 0.0 <= a.bn_momentum < 1.0:
         raise ConfigError("aggregator.bn_momentum must lie in [0, 1)")
     positive(a.bn_epsilon, "aggregator.bn_epsilon")
-    s = config.svm
-    if s.gamma is not None:
-        positive(s.gamma, "svm.gamma")
-    positive(s.C, "svm.C")
-    positive(s.tolerance, "svm.tolerance")
-    positive(s.max_passes, "svm.max_passes")
+    positive(config.svm.max_passes, "svm.max_passes")
     if not config.run_name or "/" in config.run_name:
         raise ConfigError(f"run_name must be a plain directory name, got {config.run_name!r}")

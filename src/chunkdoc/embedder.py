@@ -12,20 +12,16 @@ from __future__ import annotations
 import logging
 import zlib
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import binio
+from . import checkpoint
 from .chunker import Chunk, chunk_document
 from .corpus import Corpus, Document, DatasetSplit
 from .errors import DataError, OOVChunkError, TrainingError
 
 logger = logging.getLogger(__name__)
-
-PVDM_MAGIC = b"PVDM"
-PVDM_VERSION = 1
 
 # Memory budget for one inference batch: B * (Lmax + 1) * dim f64 entries.
 _INFER_BUDGET_ELEMS = 24_000_000
@@ -42,27 +38,24 @@ class EmbedderConfig:
     min_alpha: float = 0.0001
     noise_exponent: float = 0.75
     infer_steps: int = 50
-    workers: int = 1
+    per_class: int = 30  # training-split documents per label sampled to train PV-DM
 
 
 class Vocabulary:
     """Word inventory plus the unigram noise distribution for negative draws.
 
-    Indices are dense in [0, V), assigned by descending frequency with
-    lexicographic tie-breaks so builds are reproducible.
+    `words[i]` has index i and count `counts[i]`; `total_tokens` counts every
+    token seen, kept or not.
     """
 
-    def __init__(self, counts: dict[str, int], min_count: int, noise_exponent: float = 0.75):
-        kept = [(w, c) for w, c in counts.items() if c >= min_count]
-        if not kept:
-            raise DataError(f"vocabulary is empty after min_count={min_count} filtering")
-        kept.sort(key=lambda wc: (-wc[1], wc[0]))
-        self.words: list[str] = [w for w, _ in kept]
-        self.counts = np.array([c for _, c in kept], dtype=np.int64)
+    def __init__(self, words: list[str], counts, min_count: int, noise_exponent: float,
+                 total_tokens: int):
+        self.words = list(words)
+        self.counts = np.array(counts, dtype=np.int64)
         self.index: dict[str, int] = {w: i for i, w in enumerate(self.words)}
         self.min_count = int(min_count)
         self.noise_exponent = float(noise_exponent)
-        self.total_tokens = int(sum(counts.values()))
+        self.total_tokens = int(total_tokens)
         weights = self.counts.astype(np.float64) ** self.noise_exponent
         self.noise_probs = weights / weights.sum()
         self.noise_cdf = np.cumsum(self.noise_probs)
@@ -83,12 +76,19 @@ class Vocabulary:
 
 
 def build_vocab(chunks: list[Chunk], min_count: int, noise_exponent: float = 0.75) -> Vocabulary:
+    """Words seen at least `min_count` times, indexed by descending frequency
+    with lexicographic tie-breaks so builds are reproducible."""
     if not chunks:
         raise DataError("cannot build a vocabulary from zero chunks")
     counts: Counter[str] = Counter()
     for chunk in chunks:
         counts.update(chunk.tokens)
-    return Vocabulary(counts, min_count, noise_exponent)
+    kept = sorted(((w, c) for w, c in counts.items() if c >= min_count),
+                  key=lambda wc: (-wc[1], wc[0]))
+    if not kept:
+        raise DataError(f"vocabulary is empty after min_count={min_count} filtering")
+    return Vocabulary([w for w, _ in kept], [c for _, c in kept], min_count, noise_exponent,
+                      sum(counts.values()))
 
 
 def sample_embedding_training_docs(
@@ -149,8 +149,9 @@ class PVDMModel:
                 raise TrainingError(f"non-finite values in {name}; lower the learning rate")
 
 
-def _train_chunk(model, ids, p_row, negs, alphas, labels, loss_out):
-    """One SGD pass over one chunk's positions. Mutates the model matrices."""
+def _train_chunk(model, ids, p_row, negs, alphas, labels) -> float:
+    """One SGD pass over one chunk's positions; returns its summed loss.
+    Mutates the model matrices."""
     W_in, W_out, P = model.W_in, model.W_out, model.P
     window = model.window
     row = P[p_row]
@@ -179,7 +180,7 @@ def _train_chunk(model, ids, p_row, negs, alphas, labels, loss_out):
         row += neu1e
         probs = np.clip(fout, 1e-10, 1.0 - 1e-10)
         loss += -np.log(probs[0]) - np.log1p(-probs[1:]).sum()
-    loss_out.append(loss)
+    return loss
 
 
 def train_pvdm(
@@ -189,9 +190,8 @@ def train_pvdm(
 
     The context for each position is the mean of the window word input
     vectors and the chunk's paragraph vector; the learning rate decays
-    linearly from `alpha` to `min_alpha` over all scheduled updates. With
-    workers=1 the run is bit-reproducible; workers>1 trades determinism for
-    throughput via lock-free shared updates.
+    linearly from `alpha` to `min_alpha` over all scheduled updates. The run
+    is bit-reproducible for a given seed.
     """
     keys = [c.key for c in chunks]
     model = PVDMModel(vocab, config.dim, config.window, config.negative, keys, seed)
@@ -221,25 +221,12 @@ def train_pvdm(
             chunk_alphas.append((config.alpha - span * progress).astype(np.float32))
             chunk_negs.append(negs)
             done += n_pos
-        losses: list[float] = []
-        if config.workers <= 1:
-            for pos, ci in enumerate(order):
-                _train_chunk(
-                    model, encoded[ci], model._row[keys[ci]], chunk_negs[pos],
-                    chunk_alphas[pos], labels, losses,
-                )
-        else:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                futures = [
-                    pool.submit(
-                        _train_chunk, model, encoded[ci], model._row[keys[ci]],
-                        chunk_negs[pos], chunk_alphas[pos], labels, losses,
-                    )
-                    for pos, ci in enumerate(order)
-                ]
-                for fut in futures:
-                    fut.result()
-        model.epoch_losses.append(float(sum(losses) / total_positions))
+        loss = sum(
+            _train_chunk(model, encoded[ci], model._row[keys[ci]], chunk_negs[pos],
+                         chunk_alphas[pos], labels)
+            for pos, ci in enumerate(order)
+        )
+        model.epoch_losses.append(float(loss / total_positions))
         model.check_finite()
     return model
 
@@ -334,6 +321,54 @@ class ChunkEmbedding:
     vector: np.ndarray  # (dim,) float32
 
 
+def embed_chunks(
+    model: PVDMModel,
+    chunks: list[Chunk],
+    steps: int = 50,
+    seed: int = 0,
+    alpha: float = 0.025,
+    min_alpha: float = 0.0001,
+) -> list[ChunkEmbedding]:
+    """Embed `chunks`, returning one embedding per chunk in input order.
+
+    Chunks with no in-vocabulary tokens get the zero vector and a logged
+    warning. The rest are inferred in batches; each chunk draws from its own
+    seeded stream keyed on (seed, doc_id, index), so its vector does not
+    depend on the other chunks or on how they were batched.
+    """
+    out: list[ChunkEmbedding | None] = [None] * len(chunks)
+    pending: list[tuple[int, np.ndarray]] = []
+    for pos, chunk in enumerate(chunks):
+        ids = model.vocab.encode(chunk.tokens)
+        if ids.size:
+            pending.append((pos, ids))
+        else:
+            logger.warning("chunk (%s, %d) is fully out-of-vocabulary; using zero vector",
+                           chunk.doc_id, chunk.index)
+            out[pos] = ChunkEmbedding(chunk.doc_id, chunk.index,
+                                      np.zeros(model.dim, dtype=np.float32))
+    if len(pending) < len(chunks):
+        logger.warning("%d chunks had no in-vocabulary tokens", len(chunks) - len(pending))
+
+    start = 0
+    while start < len(pending):
+        batch = [pending[start]]
+        lmax = len(pending[start][1])
+        while start + len(batch) < len(pending):
+            lmax_new = max(lmax, len(pending[start + len(batch)][1]))
+            if (len(batch) + 1) * (lmax_new + 1) * model.dim > _INFER_BUDGET_ELEMS:
+                break
+            batch.append(pending[start + len(batch)])
+            lmax = lmax_new
+        keys = [chunks[pos].key for pos, _ in batch]
+        seeds = [_chunk_seed(seed, doc_id, index) for doc_id, index in keys]
+        vectors = _infer_batch(model, [ids for _, ids in batch], steps, seeds, alpha, min_alpha)
+        for (pos, _), (doc_id, index), vec in zip(batch, keys, vectors):
+            out[pos] = ChunkEmbedding(doc_id, index, vec)
+        start += len(batch)
+    return out
+
+
 def embed_corpus(
     model: PVDMModel,
     corpus: Corpus,
@@ -343,48 +378,12 @@ def embed_corpus(
     alpha: float = 0.025,
     min_alpha: float = 0.0001,
 ) -> dict[str, list[ChunkEmbedding]]:
-    """Embed every chunk of every document, ordered by chunk index.
-
-    Chunks with no in-vocabulary tokens get the zero vector and a logged
-    warning. Each chunk draws from its own seeded stream keyed on
-    (seed, doc_id, index), so results do not depend on corpus composition.
-    """
-    pending: list[tuple[str, int, np.ndarray]] = []
-    out: dict[str, list[ChunkEmbedding]] = {}
-    n_oov = 0
-    for doc in corpus:
-        chunks = chunk_document(doc, n_chunks)
-        out[doc.id] = [None] * len(chunks)  # type: ignore[list-item]
-        for chunk in chunks:
-            ids = model.vocab.encode(chunk.tokens)
-            if ids.size == 0:
-                logger.warning("chunk (%s, %d) is fully out-of-vocabulary; using zero vector",
-                               doc.id, chunk.index)
-                n_oov += 1
-                out[doc.id][chunk.index - 1] = ChunkEmbedding(
-                    doc.id, chunk.index, np.zeros(model.dim, dtype=np.float32)
-                )
-            else:
-                pending.append((doc.id, chunk.index, ids))
-    if n_oov:
-        logger.warning("%d chunks had no in-vocabulary tokens", n_oov)
-
-    start = 0
-    while start < len(pending):
-        batch = [pending[start]]
-        lmax = len(pending[start][2])
-        while start + len(batch) < len(pending):
-            cand = pending[start + len(batch)]
-            lmax_new = max(lmax, len(cand[2]))
-            if (len(batch) + 1) * (lmax_new + 1) * model.dim > _INFER_BUDGET_ELEMS:
-                break
-            batch.append(cand)
-            lmax = lmax_new
-        seeds = [_chunk_seed(seed, doc_id, idx) for doc_id, idx, _ in batch]
-        vectors = _infer_batch(model, [ids for _, _, ids in batch], steps, seeds, alpha, min_alpha)
-        for (doc_id, idx, _), vec in zip(batch, vectors):
-            out[doc_id][idx - 1] = ChunkEmbedding(doc_id, idx, vec)
-        start += len(batch)
+    """Embed every chunk of every document, ordered by chunk index (see
+    `embed_chunks`), so results do not depend on corpus composition."""
+    chunks = [c for doc in corpus for c in chunk_document(doc, n_chunks)]
+    out: dict[str, list[ChunkEmbedding]] = {doc.id: [] for doc in corpus}
+    for emb in embed_chunks(model, chunks, steps, seed, alpha, min_alpha):
+        out[emb.doc_id].append(emb)
     return out
 
 
@@ -411,67 +410,27 @@ def load_chunk_embeddings(path) -> dict[str, list[ChunkEmbedding]]:
 
 
 def save_pvdm(model: PVDMModel, path) -> None:
-    """Binary checkpoint; load(save(m)) is bit-exact."""
-    with open(path, "wb") as f:
-        f.write(PVDM_MAGIC)
-        binio.write_u32(f, PVDM_VERSION)
-        binio.write_u32(f, model.dim)
-        binio.write_u32(f, model.window)
-        binio.write_u32(f, model.negative)
-        binio.write_f64(f, model.vocab.noise_exponent)
-        binio.write_u32(f, model.vocab.min_count)
-        binio.write_u64(f, model.vocab.total_tokens)
-        binio.write_u32(f, len(model.vocab))
-        for word, count in zip(model.vocab.words, model.vocab.counts):
-            binio.write_str(f, word)
-            binio.write_u64(f, int(count))
-        binio.write_u32(f, len(model.chunk_keys))
-        for doc_id, index in model.chunk_keys:
-            binio.write_str(f, doc_id)
-            binio.write_u32(f, index)
-        binio.write_array(f, model.W_in, "<f4")
-        binio.write_array(f, model.W_out, "<f4")
-        binio.write_array(f, model.P, "<f4")
+    """Checkpoint (see `checkpoint`); load(save(m)) is bit-exact."""
+    vocab = model.vocab
+    header = {
+        "dim": model.dim, "window": model.window, "negative": model.negative,
+        "words": vocab.words, "min_count": vocab.min_count,
+        "noise_exponent": vocab.noise_exponent, "total_tokens": vocab.total_tokens,
+        "chunk_doc_ids": [doc_id for doc_id, _ in model.chunk_keys],
+    }
+    arrays = {
+        "counts": vocab.counts,
+        "chunk_indices": np.array([index for _, index in model.chunk_keys], dtype=np.int64),
+        "W_in": model.W_in, "W_out": model.W_out, "P": model.P,
+    }
+    checkpoint.save(path, "pvdm", header, arrays)
 
 
 def load_pvdm(path) -> PVDMModel:
-    with open(path, "rb") as f:
-        binio.check_magic(f, PVDM_MAGIC)
-        version = binio.read_u32(f)
-        if version != PVDM_VERSION:
-            raise IOError(f"unsupported checkpoint version {version}")
-        dim = binio.read_u32(f)
-        window = binio.read_u32(f)
-        negative = binio.read_u32(f)
-        noise_exponent = binio.read_f64(f)
-        min_count = binio.read_u32(f)
-        total_tokens = binio.read_u64(f)
-        V = binio.read_u32(f)
-        counts: dict[str, int] = {}
-        words = []
-        for _ in range(V):
-            word = binio.read_str(f)
-            words.append(word)
-            counts[word] = binio.read_u64(f)
-        vocab = Vocabulary(counts, min_count, noise_exponent)
-        if vocab.words != words:
-            # Force the serialized index order; counts alone may tie.
-            vocab.words = words
-            vocab.counts = np.array([counts[w] for w in words], dtype=np.int64)
-            vocab.index = {w: i for i, w in enumerate(words)}
-            weights = vocab.counts.astype(np.float64) ** noise_exponent
-            vocab.noise_probs = weights / weights.sum()
-            vocab.noise_cdf = np.cumsum(vocab.noise_probs)
-            vocab.noise_cdf[-1] = 1.0
-        vocab.total_tokens = total_tokens
-        n_para = binio.read_u32(f)
-        chunk_keys = []
-        for _ in range(n_para):
-            doc_id = binio.read_str(f)
-            index = binio.read_u32(f)
-            chunk_keys.append((doc_id, index))
-        model = PVDMModel(vocab, dim, window, negative, chunk_keys, seed=0)
-        model.W_in = binio.read_array(f, (len(vocab), dim), "<f4")
-        model.W_out = binio.read_array(f, (len(vocab), dim), "<f4")
-        model.P = binio.read_array(f, (n_para, dim), "<f4")
-        return model
+    h, a = checkpoint.load(path, "pvdm")
+    vocab = Vocabulary(h["words"], a["counts"], h["min_count"], h["noise_exponent"],
+                       h["total_tokens"])
+    chunk_keys = list(zip(h["chunk_doc_ids"], a["chunk_indices"].tolist()))
+    model = PVDMModel(vocab, h["dim"], h["window"], h["negative"], chunk_keys, seed=0)
+    model.W_in, model.W_out, model.P = a["W_in"], a["W_out"], a["P"]
+    return model

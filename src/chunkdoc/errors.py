@@ -1,12 +1,12 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
-TrainingError -> 4.
+TrainingError -> 4. A missing or unreadable checkpoint is a ConfigError.
 """
 
 
 class ConfigError(Exception):
-    """Bad configuration, unusable paths, or missing prerequisite artifacts."""
+    """Bad configuration, unusable paths, or missing or unreadable prerequisite artifacts."""
 
 
 class DataError(Exception):

@@ -30,12 +30,12 @@ class PipelineSettings:
     embedder: EmbedderConfig = field(default_factory=EmbedderConfig)
     aggregator: AggregatorConfig = field(default_factory=AggregatorConfig)
     svm: SVMConfig = field(default_factory=SVMConfig)
-    per_class: int = 30  # documents per label for embedder training
+    per_class: int = 30  # documents per label for embedder training; wins over embedder.per_class
 
 
 @dataclass
 class TrainedPipeline:
-    pvdm: PVDMModel
+    pvdm: PVDMModel | None  # None when loaded from a run whose chunk vectors were cached
     embeddings: dict[str, list[ChunkEmbedding]]
     aggregator: AggregatorModel
     train_log: list[dict]

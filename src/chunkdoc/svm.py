@@ -13,13 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import binio
+from . import checkpoint
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
-
-SVM_MAGIC = b"SVM1"
-SVM_VERSION = 1
 
 
 @dataclass
@@ -211,44 +208,20 @@ def predict_svm(model: SVMModel, x) -> tuple[str, np.ndarray]:
 
 
 def save_svm(model: SVMModel, path) -> None:
-    with open(path, "wb") as f:
-        f.write(SVM_MAGIC)
-        binio.write_u32(f, SVM_VERSION)
-        binio.write_f64(f, model.gamma)
-        binio.write_f64(f, model.C)
-        binio.write_f64(f, model.tolerance)
-        binio.write_u32(f, model.max_passes)
-        binio.write_u32(f, len(model.labels))
-        for label in model.labels:
-            binio.write_str(f, label)
-        dim = model.machines[0].support_vectors.shape[1] if model.machines else 0
-        binio.write_u32(f, dim)
-        for machine in model.machines:
-            binio.write_u32(f, len(machine.dual_coef))
-            binio.write_array(f, machine.support_vectors, "<f8")
-            binio.write_array(f, machine.dual_coef, "<f8")
-            binio.write_f64(f, machine.bias)
+    """Checkpoint (see `checkpoint`); load(save(m)) is bit-exact."""
+    header = {"labels": model.labels, "gamma": model.gamma, "C": model.C,
+              "tolerance": model.tolerance, "max_passes": model.max_passes}
+    arrays = {"bias": np.array([m.bias for m in model.machines], dtype=np.float64)}
+    for i, machine in enumerate(model.machines):
+        arrays[f"support_vectors.{i}"] = machine.support_vectors
+        arrays[f"dual_coef.{i}"] = machine.dual_coef
+    checkpoint.save(path, "svm", header, arrays)
 
 
 def load_svm(path) -> SVMModel:
-    with open(path, "rb") as f:
-        binio.check_magic(f, SVM_MAGIC)
-        version = binio.read_u32(f)
-        if version != SVM_VERSION:
-            raise IOError(f"unsupported checkpoint version {version}")
-        gamma = binio.read_f64(f)
-        C = binio.read_f64(f)
-        tolerance = binio.read_f64(f)
-        max_passes = binio.read_u32(f)
-        n_labels = binio.read_u32(f)
-        labels = [binio.read_str(f) for _ in range(n_labels)]
-        dim = binio.read_u32(f)
-        machines = []
-        for _ in range(n_labels):
-            n_sv = binio.read_u32(f)
-            sv = binio.read_array(f, (n_sv, dim), "<f8")
-            dual = binio.read_array(f, (n_sv,), "<f8")
-            bias = binio.read_f64(f)
-            machines.append(BinarySVM(support_vectors=sv, dual_coef=dual, bias=bias))
-        return SVMModel(labels=labels, gamma=gamma, C=C, tolerance=tolerance,
-                        max_passes=max_passes, machines=machines)
+    h, a = checkpoint.load(path, "svm")
+    machines = [BinarySVM(support_vectors=a[f"support_vectors.{i}"],
+                          dual_coef=a[f"dual_coef.{i}"], bias=float(bias))
+                for i, bias in enumerate(a["bias"])]
+    return SVMModel(labels=h["labels"], gamma=h["gamma"], C=h["C"], tolerance=h["tolerance"],
+                    max_passes=h["max_passes"], machines=machines)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 from .chunker import mean_words_per_chunk
 from .corpus import Corpus, DatasetSplit
+from .errors import DataError, TrainingError
 from .pipeline import PipelineSettings, evaluate_linear, evaluate_svm, train_pipeline
 
 logger = logging.getLogger(__name__)
@@ -42,8 +43,10 @@ def run_chunk_sweep(
 ) -> list[SweepRow]:
     """One pipeline run per (n, seed); both heads are read off the same run.
 
-    A failing cell is recorded with NaN scores and an error string instead of
-    aborting the sweep. Rows come back sorted by (n, classifier, seed).
+    A cell that fails with DataError or TrainingError is recorded with NaN
+    scores and an error string instead of aborting the sweep; any other
+    exception is a bug and propagates. Rows come back sorted by
+    (n, classifier, seed).
     """
     classifiers = list(classifiers)
     for kind in classifiers:
@@ -67,7 +70,7 @@ def run_chunk_sweep(
                     val = evaluate_svm(pipe, corpus, split.validation, "validation")
                     test = evaluate_svm(pipe, corpus, split.test, "test")
                     rows.append(SweepRow(n, w_c, "svm", seed, val.macro_f1, test.macro_f1))
-            except Exception as exc:  # record the cell failure, keep sweeping
+            except (DataError, TrainingError) as exc:
                 logger.error("sweep cell (n=%d, seed=%d) failed: %s", n, seed, exc)
                 for kind in classifiers:
                     rows.append(SweepRow(n, w_c, kind, seed, math.nan, math.nan, error=str(exc)))

@@ -206,3 +206,35 @@ def test_train_rerun_bit_identical(workspace):
     assert main(["train", "--config", str(config_path)]) == 0
     second = {n: (run_dir / n).read_bytes() for n in names}
     assert first == second
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+@pytest.mark.parametrize("damage", ["truncated", "old_format"])
+def test_unreadable_checkpoint_exit_2(trained, capsys, command, damage):
+    _, config_path, config = trained
+    path = _run_dir(trained) / "aggregator.bin"
+    good = path.read_bytes()
+    path.write_bytes(good[:-7] if damage == "truncated" else b"AGG1\x01\x00\x00\x00" + good[8:])
+    args = [command, "--config", str(config_path)]
+    if command == "predict":
+        args.append(str(Path(config["corpus"]["root"]) / "class0" / "doc0001.txt"))
+    try:
+        assert main(args) == 2
+    finally:
+        path.write_bytes(good)
+    assert str(path) in capsys.readouterr().err
+
+
+def test_evaluate_reads_pvdm_only_without_cached_chunk_vectors(workspace):
+    _, config_path, _ = workspace
+    run_dir = _run_dir(workspace)
+    assert main(["prepare", "--config", str(config_path)]) == 0
+    assert main(["train", "--config", str(config_path)]) == 0
+    report = run_dir / "eval_test_linear.json"
+    (run_dir / "pvdm.bin").rename(run_dir / "pvdm.bin.aside")
+    assert main(["evaluate", "--config", str(config_path)]) == 0
+    from_cache = report.read_bytes()
+    (run_dir / "pvdm.bin.aside").rename(run_dir / "pvdm.bin")
+    (run_dir / "chunk_embeddings.tsv").unlink()
+    assert main(["evaluate", "--config", str(config_path)]) == 0
+    assert report.read_bytes() == from_cache

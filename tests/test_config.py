@@ -3,6 +3,7 @@ import json
 import pytest
 
 from chunkdoc.config import PipelineConfig, load_config, parse_config
+from chunkdoc.corpus import DEFAULT_HEADER_LABELS
 from chunkdoc.errors import ConfigError
 
 
@@ -30,10 +31,11 @@ def test_unknown_top_level_key_rejected(tmp_path):
 
 
 def test_unknown_section_key_rejected(tmp_path):
-    data = _minimal(tmp_path)
-    data["embedder"] = {"dim": 10, "windw": 3}
-    with pytest.raises(ConfigError, match="windw"):
-        parse_config(data)
+    for key in ("windw", "workers"):
+        data = _minimal(tmp_path)
+        data["embedder"] = {"dim": 10, key: 3}
+        with pytest.raises(ConfigError, match=key):
+            parse_config(data)
 
 
 def test_range_validation(tmp_path):
@@ -85,3 +87,42 @@ def test_sweep_seeds_from_list(tmp_path):
     data["aggregator"] = {"seeds": [3, 4, 5]}
     config = parse_config(data)
     assert config.sweep_seeds() == [3, 4, 5]
+
+
+# Every key a config file may set, with its default.
+ALL_KEYS = {
+    "corpus": {"root": "", "labels": [],
+               "boilerplate_labels": sorted(DEFAULT_HEADER_LABELS)},
+    "split": {"seed": 13},
+    "chunking": {"n_chunks": 3},
+    "embedder": {"dim": 100, "window": 5, "epochs": 40, "negative": 5, "min_count": 5,
+                 "alpha": 0.025, "min_alpha": 0.0001, "noise_exponent": 0.75,
+                 "infer_steps": 50, "per_class": 30},
+    "aggregator": {"hidden_size": 64, "learning_rate": 0.001, "batch_size": 32,
+                   "epochs": 100, "patience": 10, "bn_momentum": 0.9, "bn_epsilon": 1e-8,
+                   "seed": 7, "seeds": []},
+    "svm": {"gamma": None, "C": 1.0, "tolerance": 0.001, "max_passes": 20000},
+    "classifier": "linear",
+    "output_dir": "runs",
+    "run_name": "run",
+}
+
+
+def test_every_key_accepted_with_its_default(tmp_path):
+    defaults = parse_config(_minimal(tmp_path)).to_dict()
+    expected = json.loads(json.dumps(ALL_KEYS))
+    expected["corpus"].update(root=str(tmp_path), labels=["a", "b"])
+    assert defaults == expected
+    assert parse_config(expected) == parse_config(_minimal(tmp_path))
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("svm", "gamma", 0.0), ("svm", "gamma", -1.0), ("svm", "C", 0.0),
+    ("svm", "tolerance", -1e-3), ("svm", "max_passes", 0), ("chunking", "n_chunks", -2),
+    ("embedder", "per_class", 0), ("aggregator", "bn_momentum", 1.0),
+])
+def test_bad_stage_value_is_config_error(tmp_path, section, key, value):
+    data = _minimal(tmp_path)
+    data[section] = {key: value}
+    with pytest.raises(ConfigError, match=key):
+        parse_config(data)

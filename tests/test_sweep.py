@@ -104,3 +104,13 @@ def test_format_table_mentions_failed_and_percent():
     assert "91.33" in table and "92.55" in table
     assert "failed" in table
     assert "1-chunk" in table and "3-chunk" in table
+
+
+def test_programming_error_in_cell_propagates(tiny_corpus_split, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr("chunkdoc.sweep.train_pipeline", broken)
+    corpus, split = tiny_corpus_split
+    with pytest.raises(TypeError, match="bug"):
+        run_chunk_sweep(corpus, split, [1], ["linear"], [0], TINY_SETTINGS)
