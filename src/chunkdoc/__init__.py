@@ -13,8 +13,8 @@ from .embedder import (ChunkEmbedding, EmbedderConfig, PVDMModel, Vocabulary, bu
                        load_pvdm, sample_embedding_training_docs, save_pvdm, train_pvdm)
 from .errors import ConfigError, DataError, OOVChunkError, TrainingError
 from .evaluation import EvalReport, confusion_matrix, export_embeddings, f1_report, macro_f1
-from .pipeline import (PipelineSettings, TrainedPipeline, evaluate_linear, evaluate_svm,
-                       mean_chunk_vectors, train_pipeline)
+from .pipeline import (PipelineSettings, TrainedPipeline, evaluate, mean_chunk_vectors,
+                       train_pipeline)
 from .svm import (BinarySVM, SVMConfig, SVMModel, load_svm, predict_svm, rbf_kernel,
                   save_svm, train_binary_svm, train_multiclass_svm)
 from .sweep import DEFAULT_N_LIST, SweepRow, read_sweep_tsv, run_chunk_sweep, write_sweep_tsv

@@ -1,6 +1,9 @@
 """BiLSTM + additive attention over chunk embeddings, with a batch-norm +
 linear + softmax head, trained end-to-end by Adam with analytic gradients.
 
+Both heads read the attention-pooled document vector (`document_vectors`):
+the linear head is `AggregatorModel.classify`, the RBF-SVM head is `svm`.
+
 Parameters are stored float32 (checkpoints round-trip bit-exactly); all math
 runs in float64. The pure forward/backward functions below take a flat
 parameter dict so they can be driven directly by the finite-difference
@@ -9,7 +12,6 @@ gradient checks.
 
 from __future__ import annotations
 
-import copy
 import json
 import logging
 from dataclasses import dataclass, field
@@ -18,7 +20,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import checkpoint
-from .corpus import Corpus, DatasetSplit, LabelSet
+from .corpus import Corpus, DatasetSplit
 from .embedder import ChunkEmbedding
 from .errors import DataError, TrainingError
 
@@ -385,27 +387,22 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
 # model wrapper
 
 class AggregatorModel:
-    """Stateful wrapper: float32 parameters, batch-norm running statistics,
-    optional Adam state, and the label inventory."""
+    """Stateful wrapper: float32 parameters (keyed like PARAM_ORDER, which fix
+    the input and hidden sizes), batch-norm running statistics, optional Adam
+    state, and the label inventory."""
 
-    def __init__(self, labels, embedding_dim: int, hidden_size: int, n_chunks: int,
-                 seed: int = 0, bn_momentum: float = 0.9, bn_epsilon: float = 1e-8):
+    def __init__(self, labels, params: dict[str, np.ndarray], bn_mean, bn_var, n_chunks: int,
+                 bn_momentum: float = 0.9, bn_epsilon: float = 1e-8,
+                 adam: AdamState | None = None):
         self.labels = list(labels)
-        self.embedding_dim = int(embedding_dim)
-        self.hidden_size = int(hidden_size)
+        self.params = params
+        self.embedding_dim = params["lstm_f.Wx"].shape[1]
+        self.hidden_size = params["lstm_f.Wh"].shape[1]
+        self.bn_mean, self.bn_var = bn_mean, bn_var
         self.n_chunks = int(n_chunks)
         self.bn_momentum = float(bn_momentum)
         self.bn_epsilon = float(bn_epsilon)
-        rng = np.random.default_rng(seed)
-        self.params = init_params(embedding_dim, hidden_size, len(self.labels), rng)
-        d = 2 * hidden_size
-        self.bn_mean = np.zeros(d, dtype=np.float32)
-        self.bn_var = np.ones(d, dtype=np.float32)
-        self.adam: AdamState | None = None
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.labels)
+        self.adam = adam
 
     def forward(self, x, mask, training: bool = False) -> ForwardTrace:
         trace = forward_batch(
@@ -417,23 +414,16 @@ class AggregatorModel:
             self.bn_var = trace.new_bn_var.astype(np.float32)
         return trace
 
-    def classify(self, doc_vectors, mode: str = "eval") -> np.ndarray:
-        """Probabilities for pooled document vectors: softmax(affine(BN(d))).
-
-        Training mode normalizes with batch statistics and updates the
-        running statistics; eval mode is pure.
-        """
-        if mode not in ("train", "eval"):
-            raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    def classify(self, doc_vectors) -> np.ndarray:
+        """The linear head: softmax(affine(BN(d))) for pooled document vectors
+        (rows of `document_vectors`), normalized with the running statistics.
+        Pure; gives the probabilities `predict` gives for the same documents."""
         params = _f64(self.params)
-        normed, _, new_mean, new_var = batchnorm_forward(
+        normed, _, _, _ = batchnorm_forward(
             doc_vectors, params["bn.gamma"], params["bn.beta"],
             self.bn_mean.astype(np.float64), self.bn_var.astype(np.float64),
-            self.bn_epsilon, self.bn_momentum, training=(mode == "train"),
+            self.bn_epsilon, self.bn_momentum, training=False,
         )
-        if mode == "train":
-            self.bn_mean = np.asarray(new_mean, dtype=np.float32)
-            self.bn_var = np.asarray(new_var, dtype=np.float32)
         return softmax(normed @ params["head.W"].T + params["head.b"])
 
     def predict(self, x, mask) -> tuple[np.ndarray, np.ndarray]:
@@ -485,16 +475,6 @@ def document_vectors(model: AggregatorModel,
     return out
 
 
-def _predict_ids(model, embeddings, doc_ids, batch_size=512) -> np.ndarray:
-    preds = np.zeros(len(doc_ids), dtype=np.int64)
-    for start in range(0, len(doc_ids), batch_size):
-        chunk_ids = doc_ids[start : start + batch_size]
-        x, mask = collate([embeddings[i] for i in chunk_ids])
-        p, _ = model.predict(x, mask)
-        preds[start : start + len(chunk_ids)] = p
-    return preds
-
-
 def train_aggregator(
     corpus: Corpus,
     split: DatasetSplit,
@@ -515,14 +495,16 @@ def train_aggregator(
     if missing:
         raise DataError(f"{len(missing)} split documents lack embeddings (first: {missing[0]})")
     embedding_dim = len(next(iter(embeddings.values()))[0].vector)
-    model = AggregatorModel(
-        list(label_set), embedding_dim, config.hidden_size, n_chunks,
-        seed=seed, bn_momentum=config.bn_momentum, bn_epsilon=config.bn_epsilon,
-    )
-    model.adam = AdamState.like(model.params)
+    params = init_params(embedding_dim, config.hidden_size, len(label_set),
+                         np.random.default_rng(seed))
+    d = 2 * config.hidden_size
+    model = AggregatorModel(list(label_set), params, np.zeros(d, dtype=np.float32),
+                            np.ones(d, dtype=np.float32), n_chunks, config.bn_momentum,
+                            config.bn_epsilon, AdamState.like(params))
     train_ids = list(split.train)
     gold = {i: label_set.index(corpus.get(i).label) for i in train_ids + list(split.validation)}
     val_ids = list(split.validation)
+    val_embeddings = {i: embeddings[i] for i in val_ids}
     val_gold = np.array([gold[i] for i in val_ids])
     if len(train_ids) < 2:
         raise DataError("need at least 2 training documents")
@@ -554,7 +536,8 @@ def train_aggregator(
                       config.beta1, config.beta2, config.adam_epsilon)
             epoch_loss += loss * len(batch_ids)
             n_seen += len(batch_ids)
-        val_pred = _predict_ids(model, embeddings, val_ids)
+        val_vecs = document_vectors(model, val_embeddings)
+        val_pred = model.classify(np.stack([val_vecs[i] for i in val_ids])).argmax(axis=1)
         val_f1 = macro_f1(val_pred, val_gold, len(label_set))
         log.append({"epoch": epoch, "train_loss": epoch_loss / n_seen, "val_f1": val_f1})
         if val_f1 > best["f1"]:
@@ -570,9 +553,7 @@ def train_aggregator(
 
 
 def write_training_log(log: list[dict], path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for row in log:
-            f.write(json.dumps(row) + "\n")
+    checkpoint.atomic_write(path, "".join(json.dumps(row) + "\n" for row in log))
 
 
 # ---------------------------------------------------------------------------
@@ -596,12 +577,9 @@ def save_aggregator(model: AggregatorModel, path) -> None:
 
 def load_aggregator(path) -> AggregatorModel:
     h, a = checkpoint.load(path, "aggregator")
-    model = AggregatorModel(h["labels"], h["embedding_dim"], h["hidden_size"], h["n_chunks"],
-                            seed=0, bn_momentum=h["bn_momentum"], bn_epsilon=h["bn_epsilon"])
-    model.params = {key: a[key] for key in PARAM_ORDER}
-    model.bn_mean, model.bn_var = a["bn.mean"], a["bn.var"]
+    adam = None
     if h["adam_t"] is not None:
-        model.adam = AdamState(t=h["adam_t"],
-                               m={key: a[f"adam.m.{key}"] for key in PARAM_ORDER},
-                               v={key: a[f"adam.v.{key}"] for key in PARAM_ORDER})
-    return model
+        adam = AdamState(t=h["adam_t"], m={key: a[f"adam.m.{key}"] for key in PARAM_ORDER},
+                         v={key: a[f"adam.v.{key}"] for key in PARAM_ORDER})
+    return AggregatorModel(h["labels"], {key: a[key] for key in PARAM_ORDER}, a["bn.mean"],
+                           a["bn.var"], h["n_chunks"], h["bn_momentum"], h["bn_epsilon"], adam)

@@ -14,10 +14,10 @@ with any other version is refused. `header` holds the model's scalars and
 strings, and `arrays` lists each array as [name, dtype, shape].
 
 Saves are deterministic: the bytes depend only on the model, so the header
-holds no timestamp, path or host data. A save writes a temporary file in the
-target's directory and renames it over the target, so a failed save leaves
-the previous checkpoint as it was. Every unreadable file (truncated, bad
-magic, wrong kind, unsupported version, corrupt header) raises IOError.
+holds no timestamp, path or host data. A save goes through `atomic_write`,
+so a failed save leaves the previous checkpoint as it was. Every unreadable
+file (truncated, bad magic, wrong kind, unsupported version, corrupt header)
+raises IOError.
 """
 
 from __future__ import annotations
@@ -40,30 +40,36 @@ def _aligned(pos: int) -> int:
     return -(-pos // _ALIGN) * _ALIGN
 
 
-def save(path, kind: str, header: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Write `header` (JSON-serializable) and the named arrays to `path` atomically."""
+def atomic_write(path, data: str | bytes) -> None:
+    """Write `data` (a str as UTF-8) to a temporary file beside `path`, then
+    rename it over `path`, so a failed write leaves `path` as it was."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with open(tmp, "wb") as f:
-            data = {}
-            for name, a in arrays.items():
-                a = np.asarray(a)
-                data[name] = np.asarray(a, dtype=a.dtype.newbyteorder("<"), order="C")
-            meta = json.dumps({
-                "kind": kind, "version": VERSION, "header": header,
-                "arrays": [[name, a.dtype.str, list(a.shape)] for name, a in data.items()],
-            }, separators=(",", ":")).encode("utf-8")
-            f.write(MAGIC + struct.pack("<I", len(meta)) + meta)
-            pos = _PREFIX + len(meta)
-            for a in data.values():
-                pad = _aligned(pos) - pos
-                f.write(b"\0" * pad + a.tobytes())
-                pos += pad + a.nbytes
+        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def save(path, kind: str, header: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write `header` (JSON-serializable) and the named arrays to `path` atomically."""
+    data = {}
+    for name, a in arrays.items():
+        a = np.asarray(a)
+        data[name] = np.asarray(a, dtype=a.dtype.newbyteorder("<"), order="C")
+    meta = json.dumps({
+        "kind": kind, "version": VERSION, "header": header,
+        "arrays": [[name, a.dtype.str, list(a.shape)] for name, a in data.items()],
+    }, separators=(",", ":")).encode("utf-8")
+    parts = [MAGIC + struct.pack("<I", len(meta)) + meta]
+    pos = _PREFIX + len(meta)
+    for a in data.values():
+        pad = _aligned(pos) - pos
+        parts.append(b"\0" * pad + a.tobytes())
+        pos += pad + a.nbytes
+    atomic_write(path, b"".join(parts))
 
 
 def load(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:

@@ -57,14 +57,10 @@ def chunk_document(doc: Document, n: int) -> list[Chunk]:
     return split_into_chunks(doc.tokens, n, doc_id=doc.id)
 
 
-def chunk_count(length: int, n: int) -> int:
-    return min(n, length)
-
-
 def mean_words_per_chunk(corpus: Corpus, n: int) -> float:
     """Total tokens divided by total chunks across the corpus (the W_c column)."""
     if len(corpus) == 0:
         raise DataError("empty corpus")
     total_tokens = sum(len(d.tokens) for d in corpus)
-    total_chunks = sum(chunk_count(len(d.tokens), n) for d in corpus)
+    total_chunks = sum(min(n, len(d.tokens)) for d in corpus)
     return total_tokens / total_chunks

@@ -2,10 +2,12 @@
 
 Commands: prepare, train, evaluate, predict, sweep. One JSON config file
 drives everything; flags override it. All artifacts land in
-``<output_dir>/<run_name>/`` next to a copy of the resolved configuration.
+``<output_dir>/<run_name>/`` next to a copy of the resolved configuration;
+each is written atomically, and `evaluate` reads only what `train` wrote.
 
 Exit codes: 0 success, 2 input/config error (including a missing or unreadable
-checkpoint), 3 data error, 4 training failure.
+checkpoint or chunk_embeddings.tsv, or a run left INCOMPLETE by an unfinished
+`train`), 3 data error, 4 training failure.
 """
 
 from __future__ import annotations
@@ -20,15 +22,15 @@ from pathlib import Path
 
 from .aggregator import (collate, document_vectors, load_aggregator, save_aggregator,
                          write_training_log)
+from .checkpoint import atomic_write
 from .chunker import ChunkingConfig, split_into_chunks
 from .config import PipelineConfig, load_config
 from .corpus import DatasetSplit, corpus_stats, load_corpus, split_dataset, tokenize
-from .embedder import (embed_chunks, embed_corpus, export_chunk_embeddings,
-                       load_chunk_embeddings, load_pvdm, save_pvdm)
+from .embedder import (embed_chunks, export_chunk_embeddings, load_chunk_embeddings,
+                       load_pvdm, save_pvdm)
 from .errors import ConfigError, DataError, TrainingError
 from .evaluation import export_embeddings
-from .pipeline import (TrainedPipeline, evaluate_linear, evaluate_svm, mean_chunk_vectors,
-                       train_pipeline)
+from .pipeline import TrainedPipeline, evaluate, mean_chunk_vectors, train_pipeline
 from .svm import load_svm, save_svm
 from .sweep import DEFAULT_N_LIST, format_sweep_table, run_chunk_sweep, write_sweep_tsv
 
@@ -80,7 +82,7 @@ def _load_prepared(config: PipelineConfig):
 
 
 def _write_resolved(config: PipelineConfig) -> None:
-    (config.run_dir() / "resolved_config.json").write_text(config.to_json(), encoding="utf-8")
+    atomic_write(config.run_dir() / "resolved_config.json", config.to_json())
 
 
 def cmd_prepare(args) -> int:
@@ -92,10 +94,8 @@ def cmd_prepare(args) -> int:
         split = split_dataset(corpus, config.split.seed)
         split.save(run_dir / "split.json")
         stats = corpus_stats(corpus, config.header_labels())
-        (run_dir / "stats.txt").write_text(stats.format_table() + "\n", encoding="utf-8")
-        (run_dir / "stats.json").write_text(
-            json.dumps(stats.to_dict(), indent=2) + "\n", encoding="utf-8"
-        )
+        atomic_write(run_dir / "stats.txt", stats.format_table() + "\n")
+        atomic_write(run_dir / "stats.json", json.dumps(stats.to_dict(), indent=2) + "\n")
         print(stats.format_table())
         print(f"split sizes: train={len(split.train)} validation={len(split.validation)} "
               f"test={len(split.test)} (seed {split.seed})")
@@ -135,7 +135,11 @@ def cmd_train(args) -> int:
 
 
 def _checkpoint(load, path: Path, hint: str = "run `train` first"):
-    """Load one checkpoint; a missing or unreadable file is a ConfigError (exit 2)."""
+    """Load one checkpoint of a finished run; a missing or unreadable file, or
+    an INCOMPLETE marker beside it, is a ConfigError (exit 2)."""
+    marker = path.parent / "INCOMPLETE"
+    if marker.exists():
+        raise ConfigError(f"{marker} exists: the last `train` did not finish; run `train` again")
     if not path.is_file():
         raise ConfigError(f"missing checkpoint {path}; {hint}")
     try:
@@ -144,29 +148,26 @@ def _checkpoint(load, path: Path, hint: str = "run `train` first"):
         raise ConfigError(f"cannot read checkpoint: {exc}; run `train` again") from None
 
 
-def _load_run(config: PipelineConfig, corpus, need_svm: bool) -> TrainedPipeline:
-    """The trained pipeline in a run directory. Chunk vectors come from
-    chunk_embeddings.tsv; pvdm.bin is read only to re-embed when it is missing."""
-    run_dir = config.run_dir()
+def _load_run(run_dir: Path, corpus, need_svm: bool) -> TrainedPipeline:
+    """The trained pipeline in a run directory: the checkpoints plus the chunk
+    vectors `train` wrote to chunk_embeddings.tsv, which must cover every
+    chunk of every corpus document."""
     aggregator = _checkpoint(load_aggregator, run_dir / "aggregator.bin")
-    svm = None
-    if need_svm:
-        svm = _checkpoint(load_svm, run_dir / "svm.bin", "train with --classifier svm")
-    pvdm = None
-    cached = run_dir / "chunk_embeddings.tsv"
-    if cached.is_file():
-        embeddings = load_chunk_embeddings(cached)
-    else:
-        pvdm = _checkpoint(load_pvdm, run_dir / "pvdm.bin")
-        embeddings = embed_corpus(
-            pvdm, corpus, aggregator.n_chunks,
-            steps=config.embedder.infer_steps, seed=config.aggregator.seed,
-            alpha=config.embedder.alpha, min_alpha=config.embedder.min_alpha,
-        )
+    svm = (_checkpoint(load_svm, run_dir / "svm.bin", "train with --classifier svm")
+           if need_svm else None)
+    path = run_dir / "chunk_embeddings.tsv"
+    try:
+        embeddings = load_chunk_embeddings(path)
+    except (OSError, ValueError, IndexError) as exc:  # missing, unreadable or malformed
+        raise ConfigError(f"cannot read chunk vectors {path}: {exc}; run `train` again") from None
+    for doc in corpus:
+        embs = embeddings.get(doc.id, [])
+        if (len(embs) != min(aggregator.n_chunks, len(doc.tokens))
+                or any(len(e.vector) != aggregator.embedding_dim for e in embs)):
+            raise ConfigError(f"{path} lacks chunk vectors of {doc.id}; run `train` again")
     return TrainedPipeline(
-        pvdm=pvdm, embeddings=embeddings, aggregator=aggregator, train_log=[],
+        pvdm=None, embeddings=embeddings, aggregator=aggregator, train_log=[],
         doc_vectors=document_vectors(aggregator, embeddings), svm=svm,
-        n_chunks=aggregator.n_chunks,
     )
 
 
@@ -176,17 +177,15 @@ def cmd_evaluate(args) -> int:
     heads = {"linear": ["linear"], "svm": ["svm"], "both": ["linear", "svm"]}[config.classifier]
     with run_lock(run_dir):
         corpus, split = _load_prepared(config)
-        pipe = _load_run(config, corpus, need_svm="svm" in heads)
+        pipe = _load_run(run_dir, corpus, need_svm="svm" in heads)
         split_names = ["validation", "test"] if args.split == "all" else [args.split]
         for split_name in split_names:
             doc_ids = getattr(split, split_name)
             for head in heads:
-                report = (evaluate_linear if head == "linear" else evaluate_svm)(
-                    pipe, corpus, doc_ids, split_name
-                )
+                report = evaluate(pipe, corpus, doc_ids, split_name, head)
                 base = run_dir / f"eval_{split_name}_{head}"
-                base.with_suffix(".json").write_text(report.to_json(), encoding="utf-8")
-                base.with_suffix(".txt").write_text(report.format_table(), encoding="utf-8")
+                atomic_write(base.with_suffix(".json"), report.to_json())
+                atomic_write(base.with_suffix(".txt"), report.format_table())
                 print(f"[{split_name}/{head}] macro-F1 {100 * report.macro_f1:.2f} "
                       f"micro-F1 {100 * report.micro_f1:.2f}")
     return 0

@@ -57,8 +57,7 @@ class PipelineConfig:
         return list(self.aggregator.seeds) or [self.aggregator.seed]
 
     def settings(self) -> PipelineSettings:
-        return PipelineSettings(embedder=self.embedder, aggregator=self.aggregator,
-                                svm=self.svm, per_class=self.embedder.per_class)
+        return PipelineSettings(embedder=self.embedder, aggregator=self.aggregator, svm=self.svm)
 
     def run_dir(self) -> Path:
         return Path(self.output_dir) / self.run_name

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .errors import ConfigError, DataError
 
 # Filing types whose documents open with identical header lines that would
@@ -205,7 +206,7 @@ class DatasetSplit:
             "validation": self.validation,
             "test": self.test,
         }
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        atomic_write(path, json.dumps(payload, indent=2) + "\n")
 
     @classmethod
     def load(cls, path) -> "DatasetSplit":

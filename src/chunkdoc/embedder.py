@@ -110,38 +110,28 @@ def sample_embedding_training_docs(
 
 
 class PVDMModel:
-    """Input/output word matrices plus one paragraph vector per training chunk."""
+    """Input/output word matrices (V, dim) plus one paragraph vector per
+    training chunk: row i of `P` belongs to `chunk_keys[i]`."""
 
     def __init__(
         self,
         vocab: Vocabulary,
-        dim: int,
         window: int,
         negative: int,
         chunk_keys: list[tuple[str, int]],
-        seed: int,
+        W_in: np.ndarray,
+        W_out: np.ndarray,
+        P: np.ndarray,
     ):
         if len(set(chunk_keys)) != len(chunk_keys):
             raise DataError("duplicate chunk keys for paragraph matrix")
         self.vocab = vocab
-        self.dim = int(dim)
         self.window = int(window)
         self.negative = int(negative)
         self.chunk_keys = list(chunk_keys)
-        self._row = {k: i for i, k in enumerate(self.chunk_keys)}
-        rng = np.random.default_rng(seed)
-        bound = 0.5 / dim
-        V = len(vocab)
-        self.W_in = rng.uniform(-bound, bound, (V, dim)).astype(np.float32)
-        self.W_out = rng.uniform(-bound, bound, (V, dim)).astype(np.float32)
-        self.P = rng.uniform(-bound, bound, (len(chunk_keys), dim)).astype(np.float32)
+        self.W_in, self.W_out, self.P = W_in, W_out, P
+        self.dim = W_in.shape[1]
         self.epoch_losses: list[float] = []
-
-    def paragraph_vector(self, doc_id: str, index: int) -> np.ndarray:
-        try:
-            return self.P[self._row[(doc_id, index)]]
-        except KeyError:
-            raise DataError(f"no trained paragraph vector for ({doc_id!r}, {index})") from None
 
     def check_finite(self) -> None:
         for name, arr in (("W_in", self.W_in), ("W_out", self.W_out), ("P", self.P)):
@@ -193,8 +183,14 @@ def train_pvdm(
     linearly from `alpha` to `min_alpha` over all scheduled updates. The run
     is bit-reproducible for a given seed.
     """
-    keys = [c.key for c in chunks]
-    model = PVDMModel(vocab, config.dim, config.window, config.negative, keys, seed)
+    rng = np.random.default_rng(seed)
+    bound = 0.5 / config.dim
+    shape = (len(vocab), config.dim)
+    W_in = rng.uniform(-bound, bound, shape).astype(np.float32)
+    W_out = rng.uniform(-bound, bound, shape).astype(np.float32)
+    P = rng.uniform(-bound, bound, (len(chunks), config.dim)).astype(np.float32)
+    model = PVDMModel(vocab, config.window, config.negative, [c.key for c in chunks],
+                      W_in, W_out, P)
     encoded = [vocab.encode(c.tokens) for c in chunks]
     for c, ids in zip(chunks, encoded):
         if ids.size == 0:
@@ -222,8 +218,7 @@ def train_pvdm(
             chunk_negs.append(negs)
             done += n_pos
         loss = sum(
-            _train_chunk(model, encoded[ci], model._row[keys[ci]], chunk_negs[pos],
-                         chunk_alphas[pos], labels)
+            _train_chunk(model, encoded[ci], ci, chunk_negs[pos], chunk_alphas[pos], labels)
             for pos, ci in enumerate(order)
         )
         model.epoch_losses.append(float(loss / total_positions))
@@ -389,11 +384,12 @@ def embed_corpus(
 
 def export_chunk_embeddings(embeddings: dict[str, list[ChunkEmbedding]], path) -> None:
     """TSV rows `doc_id <TAB> chunk_index <TAB> v1 ... v_dim`, 9 significant digits."""
-    with open(path, "w", encoding="utf-8") as f:
-        for doc_id in sorted(embeddings):
-            for emb in embeddings[doc_id]:
-                values = "\t".join(f"{v:.9g}" for v in emb.vector)
-                f.write(f"{doc_id}\t{emb.index}\t{values}\n")
+    rows = []
+    for doc_id in sorted(embeddings):
+        for emb in embeddings[doc_id]:
+            values = "\t".join(f"{v:.9g}" for v in emb.vector)
+            rows.append(f"{doc_id}\t{emb.index}\t{values}\n")
+    checkpoint.atomic_write(path, "".join(rows))
 
 
 def load_chunk_embeddings(path) -> dict[str, list[ChunkEmbedding]]:
@@ -431,6 +427,4 @@ def load_pvdm(path) -> PVDMModel:
     vocab = Vocabulary(h["words"], a["counts"], h["min_count"], h["noise_exponent"],
                        h["total_tokens"])
     chunk_keys = list(zip(h["chunk_doc_ids"], a["chunk_indices"].tolist()))
-    model = PVDMModel(vocab, h["dim"], h["window"], h["negative"], chunk_keys, seed=0)
-    model.W_in, model.W_out, model.P = a["W_in"], a["W_out"], a["P"]
-    return model
+    return PVDMModel(vocab, h["window"], h["negative"], chunk_keys, a["W_in"], a["W_out"], a["P"])

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
-TrainingError -> 4. A missing or unreadable checkpoint is a ConfigError.
+TrainingError -> 4. A missing or unreadable checkpoint or chunk_embeddings.tsv,
+or a run left INCOMPLETE by an unfinished `train`, is a ConfigError.
 """
 
 

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .corpus import LabelSet
 from .errors import DataError
 
@@ -153,12 +153,11 @@ def export_embeddings(vectors: dict[str, np.ndarray], labels: dict[str, str], pa
     if not ids:
         raise DataError("nothing to export")
     dim = len(vectors[ids[0]])
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("doc_id\tlabel\t" + "\t".join(f"v{i + 1}" for i in range(dim)) + "\n")
-        for doc_id in ids:
-            vals = "\t".join(f"{v:.9g}" for v in vectors[doc_id])
-            f.write(f"{doc_id}\t{labels[doc_id]}\t{vals}\n")
+    rows = ["doc_id\tlabel\t" + "\t".join(f"v{i + 1}" for i in range(dim)) + "\n"]
+    for doc_id in ids:
+        vals = "\t".join(f"{v:.9g}" for v in vectors[doc_id])
+        rows.append(f"{doc_id}\t{labels[doc_id]}\t{vals}\n")
+    atomic_write(path, "".join(rows))
 
 
 def load_exported_embeddings(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:

@@ -1,5 +1,6 @@
 """End-to-end stage glue: sample -> train embedder -> embed -> train
-aggregator -> (optional) SVM, plus split evaluation helpers.
+aggregator -> (optional) SVM, plus split evaluation: both heads label the
+aggregator's pooled document vectors.
 
 Used by both the CLI commands and the chunk-count sweep so every entry point
 runs the identical code path.
@@ -12,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggregator import (AggregatorConfig, AggregatorModel, document_vectors,
-                         train_aggregator, _predict_ids)
+from .aggregator import AggregatorConfig, AggregatorModel, document_vectors, train_aggregator
 from .chunker import chunk_document
 from .corpus import Corpus, DatasetSplit
 from .embedder import (ChunkEmbedding, EmbedderConfig, PVDMModel, build_vocab,
@@ -30,18 +30,21 @@ class PipelineSettings:
     embedder: EmbedderConfig = field(default_factory=EmbedderConfig)
     aggregator: AggregatorConfig = field(default_factory=AggregatorConfig)
     svm: SVMConfig = field(default_factory=SVMConfig)
-    per_class: int = 30  # documents per label for embedder training; wins over embedder.per_class
+
+    @property
+    def per_class(self) -> int:
+        """Documents per label that train the embedder; set it on `embedder`."""
+        return self.embedder.per_class
 
 
 @dataclass
 class TrainedPipeline:
-    pvdm: PVDMModel | None  # None when loaded from a run whose chunk vectors were cached
+    pvdm: PVDMModel | None  # None when loaded from a run directory
     embeddings: dict[str, list[ChunkEmbedding]]
     aggregator: AggregatorModel
     train_log: list[dict]
-    doc_vectors: dict[str, np.ndarray]
+    doc_vectors: dict[str, np.ndarray]  # the pooled vectors both heads read
     svm: SVMModel | None
-    n_chunks: int
 
 
 def train_pipeline(corpus: Corpus, split: DatasetSplit, settings: PipelineSettings,
@@ -53,7 +56,8 @@ def train_pipeline(corpus: Corpus, split: DatasetSplit, settings: PipelineSettin
     """
     if classifier not in ("linear", "svm", "both"):
         raise DataError(f"unknown classifier {classifier!r}")
-    sample = sample_embedding_training_docs(corpus, split, settings.per_class, seed=[seed, 0])
+    sample = sample_embedding_training_docs(corpus, split, settings.embedder.per_class,
+                                            seed=[seed, 0])
     train_chunks = [c for doc in sample for c in chunk_document(doc, n_chunks)]
     vocab = build_vocab(train_chunks, settings.embedder.min_count,
                         settings.embedder.noise_exponent)
@@ -77,24 +81,20 @@ def train_pipeline(corpus: Corpus, split: DatasetSplit, settings: PipelineSettin
                                          settings.svm, seed=seed)
     return TrainedPipeline(
         pvdm=pvdm, embeddings=embeddings, aggregator=aggregator,
-        train_log=train_log, doc_vectors=doc_vecs, svm=svm_model, n_chunks=n_chunks,
+        train_log=train_log, doc_vectors=doc_vecs, svm=svm_model,
     )
 
 
-def evaluate_linear(pipe: TrainedPipeline, corpus: Corpus, doc_ids: list[str],
-                    split_name: str) -> EvalReport:
-    preds = _predict_ids(pipe.aggregator, pipe.embeddings, list(doc_ids))
-    labels = [pipe.aggregator.labels[i] for i in preds]
-    gold = [corpus.get(i).label for i in doc_ids]
-    return f1_report(labels, gold, corpus.label_set, split=split_name)
-
-
-def evaluate_svm(pipe: TrainedPipeline, corpus: Corpus, doc_ids: list[str],
-                 split_name: str) -> EvalReport:
-    if pipe.svm is None:
-        raise DataError("pipeline was trained without an SVM head")
+def evaluate(pipe: TrainedPipeline, corpus: Corpus, doc_ids: list[str], split_name: str,
+             head: str) -> EvalReport:
+    """F1 report of `head` ("linear" or "svm") on the pooled vectors of `doc_ids`."""
     X = np.stack([pipe.doc_vectors[i] for i in doc_ids])
-    labels = pipe.svm.predict(X)
+    if head == "linear":
+        labels = [pipe.aggregator.labels[i] for i in pipe.aggregator.classify(X).argmax(axis=1)]
+    elif head == "svm" and pipe.svm is not None:
+        labels = pipe.svm.predict(X)
+    else:
+        raise DataError(f"pipeline has no {head!r} head")
     gold = [corpus.get(i).label for i in doc_ids]
     return f1_report(labels, gold, corpus.label_set, split=split_name)
 

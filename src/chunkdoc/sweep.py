@@ -5,12 +5,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
+from .checkpoint import atomic_write
 from .chunker import mean_words_per_chunk
 from .corpus import Corpus, DatasetSplit
 from .errors import DataError, TrainingError
-from .pipeline import PipelineSettings, evaluate_linear, evaluate_svm, train_pipeline
+from .pipeline import PipelineSettings, evaluate, train_pipeline
 
 logger = logging.getLogger(__name__)
 
@@ -62,14 +62,10 @@ def run_chunk_sweep(
                     corpus, split, settings, n_chunks=n,
                     classifier="both" if want_svm else "linear", seed=seed,
                 )
-                if "linear" in classifiers:
-                    val = evaluate_linear(pipe, corpus, split.validation, "validation")
-                    test = evaluate_linear(pipe, corpus, split.test, "test")
-                    rows.append(SweepRow(n, w_c, "linear", seed, val.macro_f1, test.macro_f1))
-                if want_svm:
-                    val = evaluate_svm(pipe, corpus, split.validation, "validation")
-                    test = evaluate_svm(pipe, corpus, split.test, "test")
-                    rows.append(SweepRow(n, w_c, "svm", seed, val.macro_f1, test.macro_f1))
+                for kind in classifiers:
+                    val = evaluate(pipe, corpus, split.validation, "validation", kind)
+                    test = evaluate(pipe, corpus, split.test, "test", kind)
+                    rows.append(SweepRow(n, w_c, kind, seed, val.macro_f1, test.macro_f1))
             except (DataError, TrainingError) as exc:
                 logger.error("sweep cell (n=%d, seed=%d) failed: %s", n, seed, exc)
                 for kind in classifiers:
@@ -79,12 +75,12 @@ def run_chunk_sweep(
 
 
 def write_sweep_tsv(rows: list[SweepRow], path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\t".join(SWEEP_COLUMNS) + "\n")
-        for r in rows:
-            f.write(
-                f"{r.n_chunks}\t{r.w_c!r}\t{r.classifier}\t{r.seed}\t{r.val_f1!r}\t{r.test_f1!r}\n"
-            )
+    lines = ["\t".join(SWEEP_COLUMNS) + "\n"]
+    for r in rows:
+        lines.append(
+            f"{r.n_chunks}\t{r.w_c!r}\t{r.classifier}\t{r.seed}\t{r.val_f1!r}\t{r.test_f1!r}\n"
+        )
+    atomic_write(path, "".join(lines))
 
 
 def read_sweep_tsv(path) -> list[SweepRow]:

@@ -21,8 +21,7 @@ from chunkdoc.cli import main
 from chunkdoc.corpus import split_dataset
 from chunkdoc.embedder import (EmbedderConfig, build_vocab, load_pvdm, train_pvdm)
 from chunkdoc.evaluation import f1_report
-from chunkdoc.pipeline import (PipelineSettings, evaluate_linear, evaluate_svm,
-                               train_pipeline)
+from chunkdoc.pipeline import PipelineSettings, evaluate, train_pipeline
 from chunkdoc.svm import (SVMConfig, dual_objective, load_svm, rbf_kernel_matrix,
                           solve_binary_dual, train_binary_svm, train_multiclass_svm)
 from chunkdoc.sweep import SWEEP_COLUMNS, run_chunk_sweep, write_sweep_tsv
@@ -344,16 +343,15 @@ def test_criterion_7_end_to_end_global_corpus():
     split = split_dataset(corpus, seed=702)
     settings = PipelineSettings(
         embedder=EmbedderConfig(dim=64, window=5, epochs=8, negative=5, min_count=5,
-                                infer_steps=8),
+                                infer_steps=8, per_class=6),
         aggregator=AggregatorConfig(hidden_size=48, learning_rate=0.003, batch_size=32,
                                     epochs=30, patience=10),
         svm=SVMConfig(C=1.0),
-        per_class=6,
     )
     pipe = train_pipeline(corpus, split, settings, n_chunks=3, classifier="both", seed=703)
     assert len(pipe.train_log) <= 30
-    linear_f1 = evaluate_linear(pipe, corpus, split.test, "test").macro_f1
-    svm_f1 = evaluate_svm(pipe, corpus, split.test, "test").macro_f1
+    linear_f1 = evaluate(pipe, corpus, split.test, "test", "linear").macro_f1
+    svm_f1 = evaluate(pipe, corpus, split.test, "test", "svm").macro_f1
     elapsed = time.time() - started
     assert linear_f1 >= 0.95
     assert svm_f1 >= 0.95
@@ -375,11 +373,10 @@ def test_criterion_8_chunking_beats_whole_document():
     split = split_dataset(corpus, seed=802)
     settings = PipelineSettings(
         embedder=EmbedderConfig(dim=32, window=5, epochs=8, negative=5, min_count=3,
-                                infer_steps=8),
+                                infer_steps=8, per_class=8),
         aggregator=AggregatorConfig(hidden_size=24, learning_rate=0.005, batch_size=16,
                                     epochs=25, patience=25),
         svm=SVMConfig(C=1.0),
-        per_class=8,
     )
     medians = {}
     for n in (1, 3):
@@ -387,7 +384,7 @@ def test_criterion_8_chunking_beats_whole_document():
         for seed in (0, 1, 2):
             pipe = train_pipeline(corpus, split, settings, n_chunks=n,
                                   classifier="linear", seed=seed)
-            f1s.append(evaluate_linear(pipe, corpus, split.test, "test").macro_f1)
+            f1s.append(evaluate(pipe, corpus, split.test, "test", "linear").macro_f1)
         medians[n] = float(np.median(f1s))
     assert medians[3] >= medians[1]
     _report("criterion 8a", f"median test F1 over 3 seeds: {medians[3]:.3f} at n=3 vs "
@@ -401,11 +398,10 @@ def test_criterion_8_sweep_emits_full_table(tmp_path):
     split = split_dataset(corpus, seed=804)
     settings = PipelineSettings(
         embedder=EmbedderConfig(dim=12, window=3, epochs=4, negative=3, min_count=1,
-                                infer_steps=3),
+                                infer_steps=3, per_class=2),
         aggregator=AggregatorConfig(hidden_size=6, learning_rate=0.01, batch_size=8,
                                     epochs=3, patience=3),
         svm=SVMConfig(C=1.0),
-        per_class=2,
     )
     n_list = [1, 3, 5, 7, 10, 25, 50]
     rows = run_chunk_sweep(corpus, split, n_list, ["linear", "svm"], [0], settings)

@@ -239,25 +239,29 @@ def test_attention_uw_scaling_preserves_argmax():
 # ---------------------------------------------------------------------------
 # classify / batchnorm / loss
 
-def _model_for(labels=("a", "b", "c", "d", "e"), E=4, H=3, seed=0):
-    return AggregatorModel(list(labels), E, H, n_chunks=3, seed=seed)
+def _seeded_model(labels=("a", "b", "c", "d", "e"), E=4, H=3, n_chunks=3, seed=0,
+                  bn_momentum=0.9, bn_epsilon=1e-8):
+    """An untrained model holding the initialization `train_aggregator` draws for `seed`."""
+    params = init_params(E, H, len(labels), np.random.default_rng(seed))
+    return AggregatorModel(list(labels), params, np.zeros(2 * H, dtype=np.float32),
+                           np.ones(2 * H, dtype=np.float32), n_chunks, bn_momentum, bn_epsilon)
 
 
 def test_classify_zero_logits_uniform():
-    model = _model_for()
+    model = _seeded_model()
     d = 2 * model.hidden_size
     model.params["bn.gamma"] = np.ones(d, dtype=np.float32)
     model.params["bn.beta"] = np.zeros(d, dtype=np.float32)
     model.params["head.W"] = np.zeros((5, d), dtype=np.float32)
     model.params["head.b"] = np.zeros(5, dtype=np.float32)
-    probs = model.classify(np.random.default_rng(0).standard_normal((3, d)), mode="eval")
+    probs = model.classify(np.random.default_rng(0).standard_normal((3, d)))
     np.testing.assert_allclose(probs, np.full((3, 5), 0.2), atol=1e-15)
 
 
 def test_classify_known_softmax():
     # identity normalization (variance 1 - eps cancels the epsilon exactly),
     # identity head: probabilities proportional to 1, 2, 3, 4
-    model = AggregatorModel(["a", "b", "c", "d"], 4, 2, n_chunks=1, seed=0)
+    model = _seeded_model(["a", "b", "c", "d"], 4, 2, n_chunks=1)
     d = 4
     model.params["bn.gamma"] = np.ones(d, dtype=np.float32)
     model.params["bn.beta"] = np.zeros(d, dtype=np.float32)
@@ -266,7 +270,7 @@ def test_classify_known_softmax():
     model.params["head.W"] = np.eye(4, dtype=np.float32)
     model.params["head.b"] = np.zeros(4, dtype=np.float32)
     logits = np.log(np.array([[1.0, 2.0, 3.0, 4.0]]))
-    probs = model.classify(logits, mode="eval")
+    probs = model.classify(logits)
     np.testing.assert_allclose(probs, [[0.1, 0.2, 0.3, 0.4]], atol=1e-9)
 
 
@@ -310,17 +314,14 @@ def test_batchnorm_train_batch_of_one_fatal():
     with pytest.raises(DataError):
         batchnorm_forward(np.ones((1, 3)), np.ones(3), np.zeros(3),
                           np.zeros(3), np.ones(3), 1e-8, 0.9, training=True)
-    model = _model_for()
-    with pytest.raises(DataError):
-        model.classify(np.ones((1, 2 * model.hidden_size)), mode="train")
 
 
 def test_classify_eval_mode_is_pure():
-    model = _model_for()
+    model = _seeded_model()
     x = np.random.default_rng(1).standard_normal((4, 2 * model.hidden_size))
     before = model.snapshot()
-    p1 = model.classify(x, mode="eval")
-    p2 = model.classify(x, mode="eval")
+    p1 = model.classify(x)
+    p2 = model.classify(x)
     assert np.array_equal(p1, p2)
     after = model.snapshot()
     assert np.array_equal(before["bn_mean"], after["bn_mean"])
@@ -539,8 +540,7 @@ def test_training_zero_learning_rate_keeps_params():
     config = AggregatorConfig(hidden_size=6, learning_rate=0.0, batch_size=8,
                               epochs=3, patience=10)
     model, _ = train_aggregator(corpus, split, embeddings, config, seed=5, n_chunks=3)
-    fresh = AggregatorModel(model.labels, 12, 6, 3, seed=5,
-                            bn_momentum=config.bn_momentum, bn_epsilon=config.bn_epsilon)
+    fresh = _seeded_model(model.labels, 12, 6, seed=5)
     for key in fresh.params:
         assert np.array_equal(model.params[key], fresh.params[key])
 
@@ -548,17 +548,15 @@ def test_training_zero_learning_rate_keeps_params():
 def test_training_zero_lr_frozen_stats_equals_untrained_baseline():
     # bn_momentum=1.0 freezes the running statistics, so lr=0 training is a
     # pure no-op and every epoch scores exactly the untrained baseline
-    from chunkdoc.aggregator import _predict_ids
     from chunkdoc.evaluation import macro_f1
 
     corpus, split, embeddings = _gaussian_embedded_corpus(n_per_class=10)
     config = AggregatorConfig(hidden_size=6, learning_rate=0.0, batch_size=8,
                               epochs=3, patience=10, bn_momentum=1.0)
     model, log = train_aggregator(corpus, split, embeddings, config, seed=5, n_chunks=3)
-    baseline = AggregatorModel(model.labels, 12, 6, 3, seed=5,
-                               bn_momentum=1.0, bn_epsilon=config.bn_epsilon)
+    baseline = _seeded_model(model.labels, 12, 6, seed=5, bn_momentum=1.0)
     gold = np.array([corpus.label_set.index(corpus.get(i).label) for i in split.validation])
-    preds = _predict_ids(baseline, embeddings, list(split.validation))
+    preds, _ = baseline.predict(*collate([embeddings[i] for i in split.validation]))
     baseline_f1 = macro_f1(preds, gold, len(corpus.label_set))
     assert {row["val_f1"] for row in log} == {baseline_f1}
 
@@ -588,7 +586,7 @@ def test_training_deterministic():
 
 def test_document_vectors_single_chunk_equals_hidden_state():
     corpus, split, embeddings = _gaussian_embedded_corpus(n_per_class=4, n_chunks=1)
-    model = AggregatorModel(list(corpus.label_set), 12, 5, 1, seed=3)
+    model = _seeded_model(list(corpus.label_set), 12, 5, n_chunks=1, seed=3)
     vecs = document_vectors(model, embeddings)
     doc_id = corpus.ids()[0]
     x, mask = collate([embeddings[doc_id]])
@@ -597,9 +595,23 @@ def test_document_vectors_single_chunk_equals_hidden_state():
     assert len(vecs) == len(corpus)
 
 
+def test_classify_of_document_vectors_matches_predict():
+    # the linear head on pooled vectors is the tail of the full forward pass
+    corpus, split, embeddings = _gaussian_embedded_corpus(n_per_class=4)
+    model = _seeded_model(list(corpus.label_set), 12, 5, seed=3)
+    model.bn_mean = np.linspace(-0.2, 0.2, 10).astype(np.float32)
+    model.bn_var = np.linspace(0.5, 1.5, 10).astype(np.float32)
+    ids = corpus.ids()
+    vecs = document_vectors(model, embeddings)
+    probs = model.classify(np.stack([vecs[i] for i in ids]))
+    preds, ref = model.predict(*collate([embeddings[i] for i in ids]))
+    np.testing.assert_allclose(probs, ref, atol=1e-12)
+    assert np.array_equal(probs.argmax(axis=1), preds)
+
+
 def test_document_vectors_deterministic():
     corpus, split, embeddings = _gaussian_embedded_corpus(n_per_class=4)
-    model = AggregatorModel(list(corpus.label_set), 12, 5, 3, seed=3)
+    model = _seeded_model(list(corpus.label_set), 12, 5, seed=3)
     v1 = document_vectors(model, embeddings)
     v2 = document_vectors(model, embeddings)
     for k in v1:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from chunkdoc import checkpoint
-from chunkdoc.aggregator import load_aggregator
+from chunkdoc.aggregator import (AggregatorModel, init_params, load_aggregator, save_aggregator,
+                                 write_training_log)
 from chunkdoc.chunker import Chunk
 from chunkdoc.embedder import EmbedderConfig, build_vocab, load_pvdm, save_pvdm, train_pvdm
 from chunkdoc.svm import load_svm
@@ -77,7 +78,7 @@ def _fail_replace(src, dst):
     raise OSError("disk full")
 
 
-@pytest.mark.parametrize("failure", ["array", "replace"])
+@pytest.mark.parametrize("failure", ["array", "replace", "text"])
 def test_failed_save_keeps_previous_checkpoint(pvdm_file, monkeypatch, failure):
     before = pvdm_file.read_bytes()
     listing = sorted(p.name for p in pvdm_file.parent.iterdir())
@@ -87,6 +88,24 @@ def test_failed_save_keeps_previous_checkpoint(pvdm_file, monkeypatch, failure):
     else:
         monkeypatch.setattr(checkpoint.os, "replace", _fail_replace)
     with pytest.raises((RuntimeError, OSError)):
-        checkpoint.save(pvdm_file, "pvdm", {}, arrays)
+        if failure == "text":
+            write_training_log([{"epoch": 1}], pvdm_file)
+        else:
+            checkpoint.save(pvdm_file, "pvdm", {}, arrays)
     assert pvdm_file.read_bytes() == before
     assert sorted(p.name for p in pvdm_file.parent.iterdir()) == listing
+
+
+def test_load_draws_no_initialization(pvdm_file, monkeypatch):
+    params = init_params(3, 2, 2, np.random.default_rng(0))
+    aggregator_file = pvdm_file.parent / "aggregator.bin"
+    save_aggregator(AggregatorModel(["a", "b"], params, np.zeros(4, dtype=np.float32),
+                                    np.ones(4, dtype=np.float32), 1), aggregator_file)
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("loading a checkpoint drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    assert load_pvdm(pvdm_file).dim == 4
+    loaded = load_aggregator(aggregator_file)
+    assert (loaded.embedding_dim, loaded.hidden_size) == (3, 2)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chunkdoc.chunker import chunk_count, mean_words_per_chunk, split_into_chunks
+from chunkdoc.chunker import mean_words_per_chunk, split_into_chunks
 from chunkdoc.corpus import Corpus, Document, LabelSet
 from chunkdoc.errors import DataError
 
@@ -99,13 +99,10 @@ def test_mean_words_n1_is_mean_document_length():
 def test_mean_words_short_docs_counted_by_actual_chunks():
     # lengths 30 and 10 at n=10: 40 tokens over 20 chunks
     assert mean_words_per_chunk(_corpus_of_lengths([30, 10]), 10) == 2.0
+    # a 3-token document at n=10 has 3 chunks: 33 tokens over 13 chunks
+    assert mean_words_per_chunk(_corpus_of_lengths([30, 3]), 10) == 33 / 13
 
 
 def test_mean_words_empty_corpus():
     with pytest.raises(DataError):
         mean_words_per_chunk(Corpus([], LabelSet(["x", "y"])), 3)
-
-
-def test_chunk_count():
-    assert chunk_count(100, 7) == 7
-    assert chunk_count(3, 7) == 3

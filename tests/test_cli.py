@@ -225,16 +225,39 @@ def test_unreadable_checkpoint_exit_2(trained, capsys, command, damage):
     assert str(path) in capsys.readouterr().err
 
 
-def test_evaluate_reads_pvdm_only_without_cached_chunk_vectors(workspace):
+def test_evaluate_reads_chunk_vectors_not_pvdm(workspace, capsys):
     _, config_path, _ = workspace
     run_dir = _run_dir(workspace)
     assert main(["prepare", "--config", str(config_path)]) == 0
     assert main(["train", "--config", str(config_path)]) == 0
-    report = run_dir / "eval_test_linear.json"
-    (run_dir / "pvdm.bin").rename(run_dir / "pvdm.bin.aside")
+    (run_dir / "pvdm.bin").unlink()
     assert main(["evaluate", "--config", str(config_path)]) == 0
-    from_cache = report.read_bytes()
-    (run_dir / "pvdm.bin.aside").rename(run_dir / "pvdm.bin")
-    (run_dir / "chunk_embeddings.tsv").unlink()
-    assert main(["evaluate", "--config", str(config_path)]) == 0
-    assert report.read_bytes() == from_cache
+    tsv = run_dir / "chunk_embeddings.tsv"
+    tsv.unlink()
+    assert main(["evaluate", "--config", str(config_path)]) == 2
+    assert str(tsv) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,damage", [("evaluate", "half_tsv"), ("evaluate", "bad_value"),
+                                            ("evaluate", "incomplete"), ("predict", "incomplete")])
+def test_unfinished_run_exit_2(trained, capsys, command, damage):
+    _, config_path, config = trained
+    run_dir = _run_dir(trained)
+    tsv = run_dir / "chunk_embeddings.tsv"
+    good = tsv.read_bytes()
+    if damage == "half_tsv":
+        tsv.write_bytes(good[: len(good) // 2])
+    elif damage == "bad_value":
+        tsv.write_bytes(good.replace(b"\t", b"\tx", 3))
+    else:
+        (run_dir / "INCOMPLETE").write_text("training in progress\n")
+    args = [command, "--config", str(config_path)]
+    if command == "predict":
+        args.append(str(Path(config["corpus"]["root"]) / "class0" / "doc0001.txt"))
+    try:
+        assert main(args) == 2
+    finally:
+        tsv.write_bytes(good)
+        (run_dir / "INCOMPLETE").unlink(missing_ok=True)
+    expected = tsv if damage != "incomplete" else run_dir / "INCOMPLETE"
+    assert str(expected) in capsys.readouterr().err

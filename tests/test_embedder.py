@@ -3,7 +3,7 @@ import pytest
 
 from chunkdoc.chunker import Chunk, chunk_document
 from chunkdoc.corpus import Corpus, Document, LabelSet
-from chunkdoc.embedder import (EmbedderConfig, PVDMModel, Vocabulary, build_vocab,
+from chunkdoc.embedder import (EmbedderConfig, Vocabulary, build_vocab,
                                embed_corpus, export_chunk_embeddings, infer_vector,
                                load_chunk_embeddings, load_pvdm,
                                sample_embedding_training_docs, save_pvdm, train_pvdm)
@@ -184,10 +184,14 @@ def test_zero_epochs_keeps_initialization():
     vocab = build_vocab(chunks, 2)
     config = EmbedderConfig(dim=16, epochs=0, min_count=2)
     trained = train_pvdm(chunks, vocab, config, seed=9)
-    fresh = PVDMModel(vocab, 16, config.window, config.negative,
-                      [c.key for c in chunks], seed=9)
-    assert np.array_equal(trained.P, fresh.P)
-    assert np.array_equal(trained.W_in, fresh.W_in)
+    rng = np.random.default_rng(9)  # W_in, W_out, then P, uniform in +-0.5/dim
+    bound = 0.5 / 16
+    W_in = rng.uniform(-bound, bound, (len(vocab), 16)).astype(np.float32)
+    W_out = rng.uniform(-bound, bound, (len(vocab), 16)).astype(np.float32)
+    P = rng.uniform(-bound, bound, (len(chunks), 16)).astype(np.float32)
+    assert np.array_equal(trained.W_in, W_in)
+    assert np.array_equal(trained.W_out, W_out)
+    assert np.array_equal(trained.P, P)
     assert trained.epoch_losses == []
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from chunkdoc.aggregator import AggregatorConfig
 from chunkdoc.chunker import mean_words_per_chunk
 from chunkdoc.corpus import split_dataset
 from chunkdoc.embedder import EmbedderConfig
-from chunkdoc.pipeline import PipelineSettings
+from chunkdoc.pipeline import PipelineSettings, train_pipeline
 from chunkdoc.svm import SVMConfig
 from chunkdoc.sweep import (SweepRow, format_sweep_table, read_sweep_tsv,
                             run_chunk_sweep, write_sweep_tsv)
@@ -15,11 +16,10 @@ from chunkdoc.synthetic import SyntheticSpec, generate_synthetic_corpus
 
 TINY_SETTINGS = PipelineSettings(
     embedder=EmbedderConfig(dim=12, window=3, epochs=3, negative=3, min_count=1,
-                            infer_steps=3),
+                            infer_steps=3, per_class=2),
     aggregator=AggregatorConfig(hidden_size=6, learning_rate=0.01, batch_size=16,
                                 epochs=4, patience=4),
     svm=SVMConfig(C=1.0),
-    per_class=2,
 )
 
 
@@ -42,6 +42,13 @@ def test_single_n_benchmark_row(tiny_corpus_split):
     assert 0.0 <= row.val_f1 <= 1.0 and 0.0 <= row.test_f1 <= 1.0
 
 
+def test_embedder_per_class_sets_the_embedder_sample(tiny_corpus_split):
+    corpus, split = tiny_corpus_split
+    pipe = train_pipeline(corpus, split, TINY_SETTINGS, n_chunks=1, classifier="linear", seed=0)
+    assert TINY_SETTINGS.per_class == 2
+    assert len(pipe.pvdm.chunk_keys) == 2 * len(corpus.label_set)
+
+
 def test_both_classifiers_and_sorting(tiny_corpus_split):
     corpus, split = tiny_corpus_split
     rows = run_chunk_sweep(corpus, split, [3, 1], ["linear", "svm"], [0], TINY_SETTINGS)
@@ -62,8 +69,8 @@ def test_sweep_deterministic(tiny_corpus_split):
 def test_failed_cell_recorded_not_raised(tiny_corpus_split):
     corpus, split = tiny_corpus_split
     bad = PipelineSettings(
-        embedder=TINY_SETTINGS.embedder, aggregator=TINY_SETTINGS.aggregator,
-        svm=TINY_SETTINGS.svm, per_class=10_000,
+        embedder=dataclasses.replace(TINY_SETTINGS.embedder, per_class=10_000),
+        aggregator=TINY_SETTINGS.aggregator, svm=TINY_SETTINGS.svm,
     )
     rows = run_chunk_sweep(corpus, split, [1, 3], ["linear"], [0], bad)
     assert len(rows) == 2
