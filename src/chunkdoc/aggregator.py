@@ -388,12 +388,11 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
 
 class AggregatorModel:
     """Stateful wrapper: float32 parameters (keyed like PARAM_ORDER, which fix
-    the input and hidden sizes), batch-norm running statistics, optional Adam
-    state, and the label inventory."""
+    the input and hidden sizes), batch-norm running statistics, and the label
+    inventory."""
 
     def __init__(self, labels, params: dict[str, np.ndarray], bn_mean, bn_var, n_chunks: int,
-                 bn_momentum: float = 0.9, bn_epsilon: float = 1e-8,
-                 adam: AdamState | None = None):
+                 bn_momentum: float = 0.9, bn_epsilon: float = 1e-8):
         self.labels = list(labels)
         self.params = params
         self.embedding_dim = params["lstm_f.Wx"].shape[1]
@@ -402,7 +401,6 @@ class AggregatorModel:
         self.n_chunks = int(n_chunks)
         self.bn_momentum = float(bn_momentum)
         self.bn_epsilon = float(bn_epsilon)
-        self.adam = adam
 
     def forward(self, x, mask, training: bool = False) -> ForwardTrace:
         trace = forward_batch(
@@ -500,7 +498,8 @@ def train_aggregator(
     d = 2 * config.hidden_size
     model = AggregatorModel(list(label_set), params, np.zeros(d, dtype=np.float32),
                             np.ones(d, dtype=np.float32), n_chunks, config.bn_momentum,
-                            config.bn_epsilon, AdamState.like(params))
+                            config.bn_epsilon)
+    adam = AdamState.like(params)
     train_ids = list(split.train)
     gold = {i: label_set.index(corpus.get(i).label) for i in train_ids + list(split.validation)}
     val_ids = list(split.validation)
@@ -532,7 +531,7 @@ def train_aggregator(
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
             grads, _ = backward_batch(_f64(model.params), trace, gold_idx)
-            adam_step(model.params, grads, model.adam, config.learning_rate,
+            adam_step(model.params, grads, adam, config.learning_rate,
                       config.beta1, config.beta2, config.adam_epsilon)
             epoch_loss += loss * len(batch_ids)
             n_seen += len(batch_ids)
@@ -565,21 +564,14 @@ def save_aggregator(model: AggregatorModel, path) -> None:
         "labels": model.labels, "embedding_dim": model.embedding_dim,
         "hidden_size": model.hidden_size, "n_chunks": model.n_chunks,
         "bn_momentum": model.bn_momentum, "bn_epsilon": model.bn_epsilon,
-        "adam_t": None if model.adam is None else model.adam.t,
     }
     arrays = {key: model.params[key] for key in PARAM_ORDER}
     arrays.update({"bn.mean": model.bn_mean, "bn.var": model.bn_var})
-    if model.adam is not None:
-        arrays.update({f"adam.m.{key}": model.adam.m[key] for key in PARAM_ORDER})
-        arrays.update({f"adam.v.{key}": model.adam.v[key] for key in PARAM_ORDER})
     checkpoint.save(path, "aggregator", header, arrays)
 
 
 def load_aggregator(path) -> AggregatorModel:
+    """Reads the parameters and BN statistics only; older files' Adam moments are skipped."""
     h, a = checkpoint.load(path, "aggregator")
-    adam = None
-    if h["adam_t"] is not None:
-        adam = AdamState(t=h["adam_t"], m={key: a[f"adam.m.{key}"] for key in PARAM_ORDER},
-                         v={key: a[f"adam.v.{key}"] for key in PARAM_ORDER})
     return AggregatorModel(h["labels"], {key: a[key] for key in PARAM_ORDER}, a["bn.mean"],
-                           a["bn.var"], h["n_chunks"], h["bn_momentum"], h["bn_epsilon"], adam)
+                           a["bn.var"], h["n_chunks"], h["bn_momentum"], h["bn_epsilon"])

@@ -3,11 +3,12 @@
 Commands: prepare, train, evaluate, predict, sweep. One JSON config file
 drives everything; flags override it. All artifacts land in
 ``<output_dir>/<run_name>/`` next to a copy of the resolved configuration;
-each is written atomically, and `evaluate` reads only what `train` wrote.
+each is written atomically. `evaluate` reads only split.json (ids and gold
+labels), aggregator.bin, svm.bin and chunk_embeddings.tsv, never the corpus.
 
-Exit codes: 0 success, 2 input/config error (including a missing or unreadable
-checkpoint or chunk_embeddings.tsv, or a run left INCOMPLETE by an unfinished
-`train`), 3 data error, 4 training failure.
+Exit codes: 0 success, 2 input/config error (including an unreadable
+split.json, a missing or unreadable checkpoint or chunk_embeddings.tsv, or a
+run left INCOMPLETE by an unfinished `train`), 3 data error, 4 training failure.
 """
 
 from __future__ import annotations
@@ -36,19 +37,37 @@ from .sweep import DEFAULT_N_LIST, format_sweep_table, run_chunk_sweep, write_sw
 
 logger = logging.getLogger(__name__)
 
+HEADS = {"linear": ["linear"], "svm": ["svm"], "both": ["linear", "svm"]}
+
+
+def _holder_is_dead(lock: Path) -> bool:
+    """True only when `lock` holds a positive pid that names no process."""
+    try:
+        pid = int(lock.read_text(encoding="ascii"))
+        if pid > 0:
+            os.kill(pid, 0)  # signal 0 only probes whether the process exists
+    except (OSError, ValueError, OverflowError) as exc:
+        return isinstance(exc, ProcessLookupError)
+    return False
+
 
 @contextmanager
 def run_lock(run_dir: Path):
-    """Advisory lock: two commands must not write the same run directory."""
+    """Advisory lock: two commands must not write the same run directory. A lock
+    left by a dead command is removed and taken once more; losing that race fails."""
     run_dir.mkdir(parents=True, exist_ok=True)
     lock = run_dir / ".lock"
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise ConfigError(
-            f"run directory {run_dir} is locked by another command "
-            f"(remove {lock} if that command is gone)"
-        ) from None
+    for attempt in range(2):
+        try:
+            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            break
+        except FileExistsError:
+            if attempt or not _holder_is_dead(lock):
+                raise ConfigError(
+                    f"run directory {run_dir} is locked by another command "
+                    f"(remove {lock} if that command is gone)"
+                ) from None
+            lock.unlink(missing_ok=True)
     try:
         os.write(fd, f"{os.getpid()}\n".encode())
         os.close(fd)
@@ -75,10 +94,7 @@ def _resolved_config(args) -> PipelineConfig:
 
 def _load_prepared(config: PipelineConfig):
     corpus = load_corpus(config.corpus.root, config.label_set(), config.header_labels())
-    manifest = config.run_dir() / "split.json"
-    if not manifest.is_file():
-        raise ConfigError(f"no split manifest at {manifest}; run `prepare` first")
-    return corpus, DatasetSplit.load(manifest)
+    return corpus, DatasetSplit.load(config.run_dir() / "split.json")
 
 
 def _write_resolved(config: PipelineConfig) -> None:
@@ -148,10 +164,10 @@ def _checkpoint(load, path: Path, hint: str = "run `train` first"):
         raise ConfigError(f"cannot read checkpoint: {exc}; run `train` again") from None
 
 
-def _load_run(run_dir: Path, corpus, need_svm: bool) -> TrainedPipeline:
-    """The trained pipeline in a run directory: the checkpoints plus the chunk
-    vectors `train` wrote to chunk_embeddings.tsv, which must cover every
-    chunk of every corpus document."""
+def _load_run(run_dir: Path, doc_ids: list[str], need_svm: bool) -> TrainedPipeline:
+    """The trained pipeline in a run directory, pooled for `doc_ids`: the checkpoints
+    plus chunk_embeddings.tsv, which must hold chunks 1..k (k <= n_chunks) of each
+    of `doc_ids`, each of the checkpoint's embedding_dim."""
     aggregator = _checkpoint(load_aggregator, run_dir / "aggregator.bin")
     svm = (_checkpoint(load_svm, run_dir / "svm.bin", "train with --classifier svm")
            if need_svm else None)
@@ -160,11 +176,12 @@ def _load_run(run_dir: Path, corpus, need_svm: bool) -> TrainedPipeline:
         embeddings = load_chunk_embeddings(path)
     except (OSError, ValueError, IndexError) as exc:  # missing, unreadable or malformed
         raise ConfigError(f"cannot read chunk vectors {path}: {exc}; run `train` again") from None
-    for doc in corpus:
-        embs = embeddings.get(doc.id, [])
-        if (len(embs) != min(aggregator.n_chunks, len(doc.tokens))
+    embeddings = {i: embeddings.get(i, []) for i in doc_ids}
+    for doc_id, embs in embeddings.items():
+        if (not 1 <= len(embs) <= aggregator.n_chunks
+                or [e.index for e in embs] != list(range(1, len(embs) + 1))
                 or any(len(e.vector) != aggregator.embedding_dim for e in embs)):
-            raise ConfigError(f"{path} lacks chunk vectors of {doc.id}; run `train` again")
+            raise ConfigError(f"{path} lacks chunk vectors of {doc_id}; run `train` again")
     return TrainedPipeline(
         pvdm=None, embeddings=embeddings, aggregator=aggregator, train_log=[],
         doc_vectors=document_vectors(aggregator, embeddings), svm=svm,
@@ -174,15 +191,15 @@ def _load_run(run_dir: Path, corpus, need_svm: bool) -> TrainedPipeline:
 def cmd_evaluate(args) -> int:
     config = _resolved_config(args)
     run_dir = config.run_dir()
-    heads = {"linear": ["linear"], "svm": ["svm"], "both": ["linear", "svm"]}[config.classifier]
+    heads = HEADS[config.classifier]
+    split_names = ["validation", "test"] if args.split == "all" else [args.split]
     with run_lock(run_dir):
-        corpus, split = _load_prepared(config)
-        pipe = _load_run(run_dir, corpus, need_svm="svm" in heads)
-        split_names = ["validation", "test"] if args.split == "all" else [args.split]
+        split = DatasetSplit.load(run_dir / "split.json")
+        doc_ids = [i for name in split_names for i in getattr(split, name)]
+        pipe = _load_run(run_dir, doc_ids, need_svm="svm" in heads)
         for split_name in split_names:
-            doc_ids = getattr(split, split_name)
             for head in heads:
-                report = evaluate(pipe, corpus, doc_ids, split_name, head)
+                report = evaluate(pipe, split, split_name, head)
                 base = run_dir / f"eval_{split_name}_{head}"
                 atomic_write(base.with_suffix(".json"), report.to_json())
                 atomic_write(base.with_suffix(".txt"), report.format_table())
@@ -226,7 +243,7 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"--n values must be >= 1, got {args.n!r}")
     else:
         n_list = list(DEFAULT_N_LIST)
-    classifiers = {"linear": ["linear"], "svm": ["svm"], "both": ["linear", "svm"]}[config.classifier]
+    classifiers = HEADS[config.classifier]
     with run_lock(run_dir):
         _write_resolved(config)
         corpus, split = _load_prepared(config)

@@ -192,12 +192,14 @@ def load_corpus(
 
 @dataclass
 class DatasetSplit:
-    """Disjoint train/validation/test document ids covering the corpus."""
+    """Disjoint train/validation/test document ids covering the corpus, and
+    `labels`, every document's gold label in corpus order."""
 
     train: list[str]
     validation: list[str]
     test: list[str]
     seed: int
+    labels: dict[str, str]
 
     def save(self, path) -> None:
         payload = {
@@ -205,18 +207,24 @@ class DatasetSplit:
             "train": self.train,
             "validation": self.validation,
             "test": self.test,
+            "labels": self.labels,
         }
         atomic_write(path, json.dumps(payload, indent=2) + "\n")
 
     @classmethod
     def load(cls, path) -> "DatasetSplit":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(
-            train=list(data["train"]),
-            validation=list(data["validation"]),
-            test=list(data["test"]),
-            seed=int(data["seed"]),
-        )
+        """A missing or unreadable manifest, or a split id without a label, is a ConfigError."""
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+            split = cls(list(data["train"]), list(data["validation"]), list(data["test"]),
+                        int(data["seed"]), dict(data["labels"]))
+            for doc_id in split.train + split.validation + split.test:
+                if doc_id not in split.labels:
+                    raise KeyError(f"no label for {doc_id}")
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"cannot read split manifest {path}: {exc!r}; "
+                              f"run `prepare` again") from None
+        return split
 
 
 def _allocate(n: int) -> tuple[int, int, int]:
@@ -253,7 +261,8 @@ def split_dataset(corpus: Corpus, seed: int) -> DatasetSplit:
         train.extend(shuffled[:n_train])
         validation.extend(shuffled[n_train : n_train + n_val])
         test.extend(shuffled[n_train + n_val :])
-    return DatasetSplit(train=sorted(train), validation=sorted(validation), test=sorted(test), seed=seed)
+    return DatasetSplit(train=sorted(train), validation=sorted(validation), test=sorted(test),
+                        seed=seed, labels={d.id: d.label for d in corpus})
 
 
 @dataclass

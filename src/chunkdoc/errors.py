@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
-TrainingError -> 4. A missing or unreadable checkpoint or chunk_embeddings.tsv,
-or a run left INCOMPLETE by an unfinished `train`, is a ConfigError.
+TrainingError -> 4. An unreadable split.json, a missing or unreadable checkpoint
+or chunk_embeddings.tsv, or a run left INCOMPLETE by `train`, is a ConfigError.
 """
 
 

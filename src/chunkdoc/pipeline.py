@@ -15,7 +15,7 @@ import numpy as np
 
 from .aggregator import AggregatorConfig, AggregatorModel, document_vectors, train_aggregator
 from .chunker import chunk_document
-from .corpus import Corpus, DatasetSplit
+from .corpus import Corpus, DatasetSplit, LabelSet
 from .embedder import (ChunkEmbedding, EmbedderConfig, PVDMModel, build_vocab,
                        embed_corpus, sample_embedding_training_docs, train_pvdm)
 from .errors import DataError
@@ -85,9 +85,11 @@ def train_pipeline(corpus: Corpus, split: DatasetSplit, settings: PipelineSettin
     )
 
 
-def evaluate(pipe: TrainedPipeline, corpus: Corpus, doc_ids: list[str], split_name: str,
+def evaluate(pipe: TrainedPipeline, split: DatasetSplit, split_name: str,
              head: str) -> EvalReport:
-    """F1 report of `head` ("linear" or "svm") on the pooled vectors of `doc_ids`."""
+    """F1 report of `head` ("linear" or "svm") on the pooled vectors of the
+    `split_name` documents, scored against the labels `split` records."""
+    doc_ids = getattr(split, split_name)
     X = np.stack([pipe.doc_vectors[i] for i in doc_ids])
     if head == "linear":
         labels = [pipe.aggregator.labels[i] for i in pipe.aggregator.classify(X).argmax(axis=1)]
@@ -95,8 +97,8 @@ def evaluate(pipe: TrainedPipeline, corpus: Corpus, doc_ids: list[str], split_na
         labels = pipe.svm.predict(X)
     else:
         raise DataError(f"pipeline has no {head!r} head")
-    gold = [corpus.get(i).label for i in doc_ids]
-    return f1_report(labels, gold, corpus.label_set, split=split_name)
+    gold = [split.labels[i] for i in doc_ids]
+    return f1_report(labels, gold, LabelSet(pipe.aggregator.labels), split=split_name)
 
 
 def mean_chunk_vectors(embeddings: dict[str, list[ChunkEmbedding]]) -> dict[str, np.ndarray]:

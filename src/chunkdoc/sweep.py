@@ -63,8 +63,8 @@ def run_chunk_sweep(
                     classifier="both" if want_svm else "linear", seed=seed,
                 )
                 for kind in classifiers:
-                    val = evaluate(pipe, corpus, split.validation, "validation", kind)
-                    test = evaluate(pipe, corpus, split.test, "test", kind)
+                    val = evaluate(pipe, split, "validation", kind)
+                    test = evaluate(pipe, split, "test", kind)
                     rows.append(SweepRow(n, w_c, kind, seed, val.macro_f1, test.macro_f1))
             except (DataError, TrainingError) as exc:
                 logger.error("sweep cell (n=%d, seed=%d) failed: %s", n, seed, exc)

@@ -350,8 +350,8 @@ def test_criterion_7_end_to_end_global_corpus():
     )
     pipe = train_pipeline(corpus, split, settings, n_chunks=3, classifier="both", seed=703)
     assert len(pipe.train_log) <= 30
-    linear_f1 = evaluate(pipe, corpus, split.test, "test", "linear").macro_f1
-    svm_f1 = evaluate(pipe, corpus, split.test, "test", "svm").macro_f1
+    linear_f1 = evaluate(pipe, split, "test", "linear").macro_f1
+    svm_f1 = evaluate(pipe, split, "test", "svm").macro_f1
     elapsed = time.time() - started
     assert linear_f1 >= 0.95
     assert svm_f1 >= 0.95
@@ -384,7 +384,7 @@ def test_criterion_8_chunking_beats_whole_document():
         for seed in (0, 1, 2):
             pipe = train_pipeline(corpus, split, settings, n_chunks=n,
                                   classifier="linear", seed=seed)
-            f1s.append(evaluate(pipe, corpus, split.test, "test", "linear").macro_f1)
+            f1s.append(evaluate(pipe, split, "test", "linear").macro_f1)
         medians[n] = float(np.median(f1s))
     assert medians[3] >= medians[1]
     _report("criterion 8a", f"median test F1 over 3 seeds: {medians[3]:.3f} at n=3 vs "

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from chunkdoc.aggregator import (AdamState, AggregatorConfig, AggregatorModel,
+from chunkdoc import checkpoint
+from chunkdoc.aggregator import (PARAM_ORDER, AdamState, AggregatorConfig, AggregatorModel,
                                  ForwardTrace, adam_step, attention_forward,
                                  backward_batch, batchnorm_forward, bilstm_forward,
                                  collate, cross_entropy, document_vectors,
@@ -621,11 +622,17 @@ def test_document_vectors_deterministic():
 # ---------------------------------------------------------------------------
 # serialization
 
-def test_checkpoint_roundtrip_bitwise_forward(tmp_path):
+def _small_trained_model():
+    """A briefly trained model plus one collated document to forward."""
     corpus, split, embeddings = _gaussian_embedded_corpus(n_per_class=8)
     config = AggregatorConfig(hidden_size=6, learning_rate=0.01, batch_size=8,
                               epochs=3, patience=10)
     model, _ = train_aggregator(corpus, split, embeddings, config, seed=2, n_chunks=3)
+    return model, collate([embeddings[corpus.ids()[0]]])
+
+
+def test_checkpoint_roundtrip_bitwise_forward(tmp_path):
+    model, (x, mask) = _small_trained_model()
     path = tmp_path / "agg.bin"
     save_aggregator(model, path)
     loaded = load_aggregator(path)
@@ -634,12 +641,7 @@ def test_checkpoint_roundtrip_bitwise_forward(tmp_path):
     assert np.array_equal(model.bn_mean, loaded.bn_mean)
     assert np.array_equal(model.bn_var, loaded.bn_var)
     assert loaded.labels == model.labels
-    assert loaded.adam is not None and loaded.adam.t == model.adam.t
-    for key in model.params:
-        assert np.array_equal(model.adam.m[key], loaded.adam.m[key])
 
-    doc_id = corpus.ids()[0]
-    x, mask = collate([embeddings[doc_id]])
     a = model.forward(x, mask, training=False)
     b = loaded.forward(x, mask, training=False)
     assert np.array_equal(a.probs, b.probs)
@@ -648,3 +650,34 @@ def test_checkpoint_roundtrip_bitwise_forward(tmp_path):
     second = tmp_path / "agg2.bin"
     save_aggregator(loaded, second)
     assert second.read_bytes() == path.read_bytes()
+
+
+def test_checkpoint_holds_only_parameters_and_bn_statistics(tmp_path):
+    model, _ = _small_trained_model()
+    save_aggregator(model, tmp_path / "agg.bin")
+    header, arrays = checkpoint.load(tmp_path / "agg.bin", "aggregator")
+    assert set(arrays) == set(PARAM_ORDER) | {"bn.mean", "bn.var"}
+    assert "adam_t" not in header
+
+
+def test_checkpoint_with_adam_moments_still_loads(tmp_path):
+    """The earlier layout also stored Adam's moments and step count; such a
+    file loads and forwards bit-equal."""
+    model, (x, mask) = _small_trained_model()
+    state = AdamState.like(model.params)
+    adam_step({k: v.copy() for k, v in model.params.items()},
+              {k: np.ones_like(v) for k, v in model.params.items()}, state, lr=0.01)
+    header = {"labels": model.labels, "embedding_dim": model.embedding_dim,
+              "hidden_size": model.hidden_size, "n_chunks": model.n_chunks,
+              "bn_momentum": model.bn_momentum, "bn_epsilon": model.bn_epsilon,
+              "adam_t": state.t}
+    arrays = {key: model.params[key] for key in PARAM_ORDER}
+    arrays.update({"bn.mean": model.bn_mean, "bn.var": model.bn_var})
+    arrays.update({f"adam.m.{key}": state.m[key] for key in PARAM_ORDER})
+    arrays.update({f"adam.v.{key}": state.v[key] for key in PARAM_ORDER})
+    checkpoint.save(tmp_path / "old.bin", "aggregator", header, arrays)
+    loaded = load_aggregator(tmp_path / "old.bin")
+    a = model.forward(x, mask, training=False)
+    b = loaded.forward(x, mask, training=False)
+    assert np.array_equal(a.probs, b.probs)
+    assert np.array_equal(a.doc_vectors, b.doc_vectors)

@@ -1,4 +1,7 @@
 import json
+import os
+import shutil
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +27,7 @@ def test_prepare_writes_manifest_and_stats(workspace, capsys):
     assert main(["prepare", "--config", str(config_path)]) == 0
     run_dir = _run_dir(workspace)
     manifest = json.loads((run_dir / "split.json").read_text())
-    assert set(manifest) == {"seed", "train", "validation", "test"}
+    assert set(manifest) == {"seed", "train", "validation", "test", "labels"}
     # per label: 12 docs -> 8 train (round(8.4)), 2 validation, 2 test
     assert len(manifest["train"]) == 24
     assert len(manifest["validation"]) == 6 and len(manifest["test"]) == 6
@@ -47,8 +50,6 @@ def test_prepare_rerun_identical_bytes(workspace):
 
 def test_prepare_missing_label_directory_exit_2(workspace, capsys):
     tmp_path, config_path, config = workspace
-    import shutil
-
     shutil.rmtree(Path(config["corpus"]["root"]) / "class2")
     assert main(["prepare", "--config", str(config_path)]) == 2
     assert "class2" in capsys.readouterr().err
@@ -71,9 +72,31 @@ def test_lock_file_blocks_concurrent_use(workspace, capsys):
     _, config_path, _ = workspace
     run_dir = _run_dir(workspace)
     run_dir.mkdir(parents=True)
-    (run_dir / ".lock").write_text("12345")
+    (run_dir / ".lock").write_text(str(os.getpid()))
     assert main(["prepare", "--config", str(config_path)]) == 2
     assert "locked" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", ["", "not a pid", "0", "-1", "99999999999999999999999"])
+def test_lock_without_a_dead_pid_blocks(workspace, capsys, content):
+    _, config_path, _ = workspace
+    run_dir = _run_dir(workspace)
+    run_dir.mkdir(parents=True)
+    (run_dir / ".lock").write_text(content)
+    assert main(["prepare", "--config", str(config_path)]) == 2
+    assert "locked" in capsys.readouterr().err
+    assert (run_dir / ".lock").read_text() == content
+
+
+def test_lock_of_a_finished_command_is_taken_over(workspace):
+    _, config_path, _ = workspace
+    run_dir = _run_dir(workspace)
+    run_dir.mkdir(parents=True)
+    finished = subprocess.Popen(["true"])
+    finished.wait()
+    (run_dir / ".lock").write_text(f"{finished.pid}\n")
+    assert main(["prepare", "--config", str(config_path)]) == 0
+    assert not (run_dir / ".lock").exists()
 
 
 @pytest.fixture(scope="module")
@@ -261,3 +284,69 @@ def test_unfinished_run_exit_2(trained, capsys, command, damage):
         (run_dir / "INCOMPLETE").unlink(missing_ok=True)
     expected = tsv if damage != "incomplete" else run_dir / "INCOMPLETE"
     assert str(expected) in capsys.readouterr().err
+
+
+def _eval_reports(run_dir):
+    return {p.name: p.read_bytes() for p in sorted(run_dir.glob("eval_*"))}
+
+
+@pytest.mark.parametrize("change", ["corpus_moved", "document_added"])
+def test_evaluate_reads_no_corpus(trained, change):
+    _, config_path, config = trained
+    run_dir = _run_dir(trained)
+    args = ["evaluate", "--config", str(config_path), "--classifier", "both"]
+    assert main(args) == 0
+    before = _eval_reports(run_dir)
+    root = Path(config["corpus"]["root"])
+    added = root / "class0" / "zz_new.txt"
+    if change == "corpus_moved":
+        root.rename(root.with_name("corpus_moved"))
+    else:
+        added.write_text("a document written after training", encoding="utf-8")
+    try:
+        assert main(args) == 0
+    finally:
+        if change == "corpus_moved":
+            root.with_name("corpus_moved").rename(root)
+        added.unlink(missing_ok=True)
+    assert len(before) == 8 and _eval_reports(run_dir) == before
+
+
+def test_evaluate_split_pools_only_its_documents(trained, capsys):
+    _, config_path, _ = trained
+    run_dir = _run_dir(trained)
+    split = json.loads((run_dir / "split.json").read_text())
+    tsv = run_dir / "chunk_embeddings.tsv"
+    good = tsv.read_bytes()
+    validation = {doc_id.encode() for doc_id in split["validation"]}
+    tsv.write_bytes(b"".join(line for line in good.splitlines(keepends=True)
+                             if line.split(b"\t")[0] not in validation))
+    try:
+        assert main(["evaluate", "--config", str(config_path), "--split", "test"]) == 0
+        assert main(["evaluate", "--config", str(config_path), "--split", "validation"]) == 2
+    finally:
+        tsv.write_bytes(good)
+    assert str(tsv) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("damage", ["malformed", "no_labels", "unlabeled_id"])
+def test_unreadable_split_manifest_exit_2(trained, capsys, command, damage):
+    _, config_path, _ = trained
+    path = _run_dir(trained) / "split.json"
+    good = path.read_bytes()
+    manifest = json.loads(good)
+    if damage == "malformed":
+        path.write_bytes(good[: len(good) // 2])
+    else:
+        if damage == "no_labels":
+            del manifest["labels"]
+        else:
+            del manifest["labels"][manifest["test"][0]]
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+    try:
+        assert main([command, "--config", str(config_path), "--classifier", "both"]) == 2
+    finally:
+        path.write_bytes(good)
+    err = capsys.readouterr().err
+    assert str(path) in err and "prepare" in err

@@ -201,7 +201,7 @@ def test_manifest_roundtrip_bytes(tmp_path):
     reloaded.save(path)
     assert path.read_bytes() == first
     data = json.loads(first)
-    assert set(data) == {"seed", "train", "validation", "test"}
+    assert set(data) == {"seed", "train", "validation", "test", "labels"}
 
 
 # ---------------------------------------------------------------------------
