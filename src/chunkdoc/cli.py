@@ -173,8 +173,8 @@ def _load_run(run_dir: Path, doc_ids: list[str], need_svm: bool) -> TrainedPipel
            if need_svm else None)
     path = run_dir / "chunk_embeddings.tsv"
     try:
-        embeddings = load_chunk_embeddings(path)
-    except (OSError, ValueError, IndexError) as exc:  # missing, unreadable or malformed
+        embeddings = load_chunk_embeddings(path, doc_ids)
+    except (OSError, ValueError) as exc:  # missing, unreadable or malformed
         raise ConfigError(f"cannot read chunk vectors {path}: {exc}; run `train` again") from None
     embeddings = {i: embeddings.get(i, []) for i in doc_ids}
     for doc_id, embs in embeddings.items():

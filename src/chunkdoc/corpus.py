@@ -213,11 +213,15 @@ class DatasetSplit:
 
     @classmethod
     def load(cls, path) -> "DatasetSplit":
-        """A missing or unreadable manifest, or a split id without a label, is a ConfigError."""
+        """A missing or unreadable manifest, an empty split or a split id without
+        a label is a ConfigError."""
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
             split = cls(list(data["train"]), list(data["validation"]), list(data["test"]),
                         int(data["seed"]), dict(data["labels"]))
+            for name in ("train", "validation", "test"):
+                if not getattr(split, name):
+                    raise ValueError(f"the {name} split is empty")
             for doc_id in split.train + split.validation + split.test:
                 if doc_id not in split.labels:
                     raise KeyError(f"no label for {doc_id}")

@@ -2,9 +2,11 @@
 
 A small sample of documents trains the model; every chunk of every document
 is then embedded by gradient steps on a fresh paragraph vector with the word
-matrices frozen. Training is a faithful per-position SGD loop; inference is
-vectorized across chunks, which is exact because chunks share no trainable
-state at inference time.
+matrices frozen. Training is lockstep SGD: every sample chunk takes its step
+at position i together, the batched form of the shared-parameter SGD of Le &
+Mikolov (2014) with negative sampling, each chunk on its own learning-rate
+schedule. Inference is vectorized across chunks the same way, which is exact
+because chunks share no trainable state at inference time.
 """
 
 from __future__ import annotations
@@ -23,8 +25,15 @@ from .errors import DataError, OOVChunkError, TrainingError
 
 logger = logging.getLogger(__name__)
 
-# Memory budget for one inference batch: B * (Lmax + 1) * dim f64 entries.
-_INFER_BUDGET_ELEMS = 24_000_000
+# Memory budget for one inference batch, in B * (Lmax + 1) * dim f64 entries:
+# the size of the one table a batch builds, the window prefix sums that become
+# the context sums in place (32 MB at 4M entries).
+_INFER_BUDGET_ELEMS = 4_000_000
+# Memory budget for one lockstep training group, in B * Lmax * (negative + 1)
+# entries: the size of each per-epoch table of the group (target ids, gates,
+# sigmoid outputs; the noise ids one column fewer), about 25 bytes an entry
+# over all of them, so about 50 MB at 2M entries.
+_TRAIN_BUDGET_ELEMS = 2_000_000
 
 
 @dataclass
@@ -139,49 +148,104 @@ class PVDMModel:
                 raise TrainingError(f"non-finite values in {name}; lower the learning rate")
 
 
-def _train_chunk(model, ids, p_row, negs, alphas, labels) -> float:
-    """One SGD pass over one chunk's positions; returns its summed loss.
-    Mutates the model matrices."""
-    W_in, W_out, P = model.W_in, model.W_out, model.P
-    window = model.window
-    row = P[p_row]
-    loss = 0.0
-    for i in range(len(ids)):
-        lo = 0 if i < window else i - window
-        ctx = np.concatenate((ids[lo:i], ids[i + 1 : i + window + 1]))
-        if ctx.size:
-            l1 = (W_in[ctx].sum(axis=0) + row) / np.float32(ctx.size + 1)
-        else:
-            l1 = row.copy()
-        targets = np.empty(len(negs[i]) + 1, dtype=np.int64)
-        targets[0] = ids[i]
-        targets[1:] = negs[i]
-        l2 = W_out[targets]
-        scores = (l2 * l1).sum(axis=1)
-        fout = 1.0 / (1.0 + np.exp(-scores))
-        g = (labels - fout) * alphas[i]
-        g[1:][negs[i] == ids[i]] = 0.0  # rare noise draw equal to the center word
-        update = g[:, None] * l1
-        for j, t in enumerate(targets):
-            W_out[t] += update[j]
-        neu1e = (g[:, None] * l2).sum(axis=0)
-        for c in ctx:
-            W_in[c] += neu1e
-        row += neu1e
-        probs = np.clip(fout, 1e-10, 1.0 - 1e-10)
-        loss += -np.log(probs[0]) - np.log1p(-probs[1:]).sum()
-    return loss
+def _pad(encoded_seqs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each sequence's length, the ids padded with 0 to the longest, and the
+    (sequences, longest) mask of real, not padded, positions."""
+    lengths = np.array([len(e) for e in encoded_seqs], dtype=np.int64)
+    ids_pad = np.zeros((len(encoded_seqs), int(lengths.max())), dtype=np.int64)
+    for b, e in enumerate(encoded_seqs):
+        ids_pad[b, : len(e)] = e
+    return lengths, ids_pad, np.arange(ids_pad.shape[1]) < lengths[:, None]
+
+
+def _targets_and_gate(ids_pad: np.ndarray, negs: np.ndarray, alphas: np.ndarray,
+                      active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each position's targets, its center word then its noise words, and each
+    target's learning rate: the position's alpha, zero at padded positions and
+    for a noise draw equal to the center (rare)."""
+    tgt = np.concatenate((ids_pad[:, :, None], negs), axis=2)
+    gate = np.repeat((alphas * active)[:, :, None], negs.shape[2] + 1, axis=2)
+    gate[:, :, 1:][negs == ids_pad[:, :, None]] = 0.0
+    return tgt, gate
+
+
+def _scatter_add(W: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """W[rows[j]] += values[j] for every j, duplicates summed in order; `np.add.at`
+    on the flat view, several times faster than on the 2-D rows."""
+    dim = W.shape[1]
+    flat = (rows[:, None] * dim + np.arange(dim)).ravel()
+    np.add.at(W.reshape(-1), flat, values.ravel())
+
+
+def _length_groups(lengths: np.ndarray, max_cells: int) -> list[np.ndarray]:
+    """Partition sequence indices into groups, shortest sequences first, each
+    group's size times its longest length at most `max_cells` (a sequence
+    longer than that gets a group of its own). Indices within a group keep
+    their input order. Grouping by length bounds both the padded arrays and
+    the padded positions a lockstep loop runs."""
+    order = np.argsort(lengths, kind="stable")
+    groups, start = [], 0
+    for end in range(1, len(order) + 1):
+        if end == len(order) or (end - start + 1) * lengths[order[end]] > max_cells:
+            groups.append(np.sort(order[start:end]))
+            start = end
+    return groups
+
+
+def _train_group(model: PVDMModel, rows: np.ndarray, ids_pad: np.ndarray, active: np.ndarray,
+                 negs: np.ndarray, alphas: np.ndarray) -> float:
+    """One lockstep epoch over the chunks `rows` (rows of `P`, their padded ids
+    and mask): at position i every chunk takes its SGD step together. Mutates
+    the model matrices; returns the summed loss over real positions."""
+    W_in, W_out = model.W_in, model.W_out
+    P = model.P[rows]
+    (B, Lmax), dim, window = ids_pad.shape, model.dim, model.window
+    positions = np.arange(Lmax)
+    labels = np.zeros(negs.shape[2] + 1, dtype=np.float32)
+    labels[0] = 1.0
+    tgt, gate = _targets_and_gate(ids_pad, negs, alphas, active)
+    fouts = np.empty(tgt.shape, dtype=np.float32)
+    for i in range(Lmax):
+        lo, hi = max(0, i - window), min(Lmax, i + window + 1)
+        ctx_ok = active[:, lo:hi] & (positions[lo:hi] != i)
+        n_ctx = ctx_ok.sum(axis=1)
+        ctx = ids_pad[:, lo:hi][ctx_ok]
+        neighbours = np.zeros((B, hi - lo, dim), dtype=np.float32)
+        neighbours[ctx_ok] = W_in[ctx]
+        l1 = (neighbours.sum(axis=1) + P) / (n_ctx + 1).astype(np.float32)[:, None]
+        t = tgt[:, i]
+        Wt = W_out[t]
+        fout = 1.0 / (1.0 + np.exp(-(Wt * l1[:, None, :]).sum(axis=2)))
+        fouts[:, i] = fout
+        g = (labels - fout) * gate[:, i]
+        _scatter_add(W_out, t.ravel(), (g[:, :, None] * l1[:, None, :]).reshape(-1, dim))
+        neu1e = (g[:, :, None] * Wt).sum(axis=1)
+        _scatter_add(W_in, ctx, np.repeat(neu1e, n_ctx, axis=0))
+        P += neu1e
+    model.P[rows] = P
+    probs = np.clip(fouts[active].astype(np.float64), 1e-10, 1.0 - 1e-10)
+    return -np.log(probs[:, 0]).sum() - np.log1p(-probs[:, 1:]).sum()
 
 
 def train_pvdm(
     chunks: list[Chunk], vocab: Vocabulary, config: EmbedderConfig, seed: int
 ) -> PVDMModel:
-    """Train PV-DM with negative sampling by per-position SGD.
+    """Train PV-DM with negative sampling by lockstep SGD.
 
     The context for each position is the mean of the window word input
-    vectors and the chunk's paragraph vector; the learning rate decays
-    linearly from `alpha` to `min_alpha` over all scheduled updates. The run
-    is bit-reproducible for a given seed.
+    vectors and the chunk's paragraph vector. Chunks are grouped by length
+    (`_length_groups` under `_TRAIN_BUDGET_ELEMS`; one group when they fit);
+    each epoch runs the groups in turn, and within a group all chunks,
+    padded to the longest, take their SGD step at position i together.
+    Positions within a chunk stay sequential. The word-matrix updates of one
+    step are summed with `np.add.at`, so chunks sharing a word all land, in a
+    fixed order. The speed-up over one chunk at a time needs chunks of
+    similar length: a padded position costs as much as a real one.
+    Each chunk's learning rate decays linearly from `alpha` to `min_alpha`
+    over its own epochs * L updates: `alpha - span * (epoch * L + i) /
+    (epochs * L)` at position i of a chunk of L in-vocabulary tokens.
+    Padded positions neither update nor count toward the epoch loss, the
+    mean over real positions. The run is bit-reproducible for a given seed.
     """
     rng = np.random.default_rng(seed)
     bound = 0.5 / config.dim
@@ -199,29 +263,20 @@ def train_pvdm(
         return model
 
     rng = np.random.default_rng([seed, 1])
-    total_positions = sum(len(e) for e in encoded)
-    total_updates = config.epochs * total_positions
-    labels = np.zeros(config.negative + 1, dtype=np.float32)
-    labels[0] = 1.0
+    k = config.negative
+    lengths = np.array([len(e) for e in encoded], dtype=np.int64)
+    groups = _length_groups(lengths, _TRAIN_BUDGET_ELEMS // (k + 1))
     span = config.alpha - config.min_alpha
-
-    done = 0
-    for _epoch in range(config.epochs):
-        order = rng.permutation(len(chunks))
-        chunk_negs = []
-        chunk_alphas = []
-        for ci in order:
-            n_pos = len(encoded[ci])
-            negs = vocab.sample_noise(rng, (n_pos, config.negative))
-            progress = (done + np.arange(n_pos)) / total_updates
-            chunk_alphas.append((config.alpha - span * progress).astype(np.float32))
-            chunk_negs.append(negs)
-            done += n_pos
-        loss = sum(
-            _train_chunk(model, encoded[ci], ci, chunk_negs[pos], chunk_alphas[pos], labels)
-            for pos, ci in enumerate(order)
-        )
-        model.epoch_losses.append(float(loss / total_positions))
+    for epoch in range(config.epochs):
+        loss = 0.0
+        for rows in groups:
+            group_lengths, ids_pad, active = _pad([encoded[b] for b in rows])
+            negs = vocab.sample_noise(rng, (*ids_pad.shape, k))
+            progress = ((epoch * group_lengths[:, None] + np.arange(ids_pad.shape[1]))
+                        / (config.epochs * group_lengths[:, None]))
+            alphas = (config.alpha - span * progress).astype(np.float32)
+            loss += _train_group(model, rows, ids_pad, active, negs, alphas)
+        model.epoch_losses.append(float(loss / lengths.sum()))
         model.check_finite()
     return model
 
@@ -243,11 +298,13 @@ def _infer_batch(
     Chunks are independent at inference time (word matrices frozen), so
     batching across them is exact; only elementwise ops and fixed-axis
     reductions are used, making each row's result independent of how the
-    batch was grouped.
+    batch was grouped. With the word matrices frozen, each position's
+    context-word sum is fixed: it is computed once per batch, and targets
+    and gates once per step, so the position loop touches only `P`.
     """
     B = len(encoded_seqs)
     dim, window, k = model.dim, model.window, model.negative
-    lengths = np.array([len(e) for e in encoded_seqs], dtype=np.int64)
+    lengths, ids_pad, active = _pad(encoded_seqs)
     if (lengths == 0).any():
         raise OOVChunkError("chunk has no in-vocabulary tokens")
     rngs = [np.random.default_rng(s) for s in seeds]
@@ -256,22 +313,24 @@ def _infer_batch(
     if steps <= 0:
         return P.astype(np.float32)
 
-    Lmax = int(lengths.max())
+    Lmax = ids_pad.shape[1]
     W_in = model.W_in.astype(np.float64)
     W_out = model.W_out.astype(np.float64)
-    ids_pad = np.zeros((B, Lmax), dtype=np.int64)
-    for b, e in enumerate(encoded_seqs):
-        ids_pad[b, : len(e)] = e
 
-    # Window sums via per-chunk cumulative sums; padded tail rows never read.
-    csum = np.zeros((B, Lmax + 1, dim), dtype=np.float64)
-    np.cumsum(W_in[ids_pad], axis=1, out=csum[:, 1:])
     positions = np.arange(Lmax)
     lo = np.maximum(0, positions - window)
     hi = np.minimum(lengths[:, None], positions[None, :] + window + 1)
     hi = np.maximum(hi, lo[None, :])
     inv_denom = 1.0 / np.maximum(1, hi - lo[None, :] - 1 + 1)  # ctx words + paragraph
-    rows = np.arange(B)
+    # Context-word sums csum[hi] - csum[lo] - center from each chunk's cumulative
+    # sums, written over that chunk's rows of the same table, so a batch holds
+    # one (B, Lmax + 1, dim) table; padded positions never update P.
+    csum = np.zeros((B, Lmax + 1, dim), dtype=np.float64)
+    for b in range(B):
+        words, c = W_in[ids_pad[b]], csum[b]
+        np.cumsum(words, axis=0, out=c[1:])
+        c[:Lmax] = c[hi[b]] - c[lo] - words
+    ctx_sum = csum[:, :Lmax]
 
     labels = np.zeros(k + 1, dtype=np.float64)
     labels[0] = 1.0
@@ -282,20 +341,13 @@ def _infer_batch(
         for b in range(B):
             negs[b, : lengths[b]] = model.vocab.sample_noise(rngs[b], (int(lengths[b]), k))
         alphas = alpha - span * ((step * lengths[:, None] + positions[None, :]) / per_seq_total[:, None])
+        tgt, gate = _targets_and_gate(ids_pad, negs, alphas, active)
         for i in range(Lmax):
-            active = i < lengths
-            if not active.any():
-                break
-            center = ids_pad[:, i]
-            ctx_sum = csum[rows, hi[:, i]] - csum[:, lo[i]] - W_in[center]
-            l1 = (ctx_sum + P) * inv_denom[:, i, None]
-            tgt = np.concatenate((center[:, None], negs[:, i, :]), axis=1)
-            Wt = W_out[tgt]
+            l1 = (ctx_sum[:, i] + P) * inv_denom[:, i, None]
+            Wt = W_out[tgt[:, i]]
             scores = (Wt * l1[:, None, :]).sum(axis=2)
             fout = 1.0 / (1.0 + np.exp(-scores))
-            g = (labels[None, :] - fout) * alphas[:, i, None]
-            g[:, 1:][tgt[:, 1:] == center[:, None]] = 0.0
-            g[~active] = 0.0
+            g = (labels[None, :] - fout) * gate[:, i]
             P += (g[:, :, None] * Wt).sum(axis=1)
     return P.astype(np.float32)
 
@@ -327,9 +379,9 @@ def embed_chunks(
     """Embed `chunks`, returning one embedding per chunk in input order.
 
     Chunks with no in-vocabulary tokens get the zero vector and a logged
-    warning. The rest are inferred in batches; each chunk draws from its own
-    seeded stream keyed on (seed, doc_id, index), so its vector does not
-    depend on the other chunks or on how they were batched.
+    warning. The rest are inferred in batches of similar length; each chunk
+    draws from its own seeded stream keyed on (seed, doc_id, index), so its
+    vector does not depend on the other chunks or on how they were batched.
     """
     out: list[ChunkEmbedding | None] = [None] * len(chunks)
     pending: list[tuple[int, np.ndarray]] = []
@@ -345,22 +397,14 @@ def embed_chunks(
     if len(pending) < len(chunks):
         logger.warning("%d chunks had no in-vocabulary tokens", len(chunks) - len(pending))
 
-    start = 0
-    while start < len(pending):
-        batch = [pending[start]]
-        lmax = len(pending[start][1])
-        while start + len(batch) < len(pending):
-            lmax_new = max(lmax, len(pending[start + len(batch)][1]))
-            if (len(batch) + 1) * (lmax_new + 1) * model.dim > _INFER_BUDGET_ELEMS:
-                break
-            batch.append(pending[start + len(batch)])
-            lmax = lmax_new
+    lengths = np.array([len(ids) for _, ids in pending], dtype=np.int64)
+    for group in _length_groups(lengths + 1, _INFER_BUDGET_ELEMS // model.dim):
+        batch = [pending[j] for j in group]
         keys = [chunks[pos].key for pos, _ in batch]
         seeds = [_chunk_seed(seed, doc_id, index) for doc_id, index in keys]
         vectors = _infer_batch(model, [ids for _, ids in batch], steps, seeds, alpha, min_alpha)
         for (pos, _), (doc_id, index), vec in zip(batch, keys, vectors):
             out[pos] = ChunkEmbedding(doc_id, index, vec)
-        start += len(batch)
     return out
 
 
@@ -392,13 +436,19 @@ def export_chunk_embeddings(embeddings: dict[str, list[ChunkEmbedding]], path) -
     checkpoint.atomic_write(path, "".join(rows))
 
 
-def load_chunk_embeddings(path) -> dict[str, list[ChunkEmbedding]]:
+def load_chunk_embeddings(path, doc_ids=None) -> dict[str, list[ChunkEmbedding]]:
+    """Chunk vectors by document, ordered by chunk index. With `doc_ids`, rows
+    of other documents are skipped unparsed."""
+    wanted = None if doc_ids is None else set(doc_ids)
     out: dict[str, list[ChunkEmbedding]] = {}
     with open(path, "r", encoding="utf-8") as f:
         for line in f:
-            parts = line.rstrip("\n").split("\t")
-            doc_id, index = parts[0], int(parts[1])
-            vec = np.array([float(x) for x in parts[2:]], dtype=np.float32)
+            doc_id, _, rest = line.rstrip("\n").partition("\t")
+            if wanted is not None and doc_id not in wanted:
+                continue
+            parts = rest.split("\t")
+            index = int(parts[0])
+            vec = np.array([float(x) for x in parts[1:]], dtype=np.float32)
             out.setdefault(doc_id, []).append(ChunkEmbedding(doc_id, index, vec))
     for doc_id in out:
         out[doc_id].sort(key=lambda e: e.index)

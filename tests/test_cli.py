@@ -330,7 +330,8 @@ def test_evaluate_split_pools_only_its_documents(trained, capsys):
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])
-@pytest.mark.parametrize("damage", ["malformed", "no_labels", "unlabeled_id"])
+@pytest.mark.parametrize("damage", ["malformed", "no_labels", "unlabeled_id", "empty_train",
+                                    "empty_test"])
 def test_unreadable_split_manifest_exit_2(trained, capsys, command, damage):
     _, config_path, _ = trained
     path = _run_dir(trained) / "split.json"
@@ -341,8 +342,10 @@ def test_unreadable_split_manifest_exit_2(trained, capsys, command, damage):
     else:
         if damage == "no_labels":
             del manifest["labels"]
-        else:
+        elif damage == "unlabeled_id":
             del manifest["labels"][manifest["test"][0]]
+        else:
+            manifest[damage.split("_")[1]] = []
         path.write_text(json.dumps(manifest), encoding="utf-8")
     try:
         assert main([command, "--config", str(config_path), "--classifier", "both"]) == 2
@@ -350,3 +353,23 @@ def test_unreadable_split_manifest_exit_2(trained, capsys, command, damage):
         path.write_bytes(good)
     err = capsys.readouterr().err
     assert str(path) in err and "prepare" in err
+
+
+def test_evaluate_parses_only_the_rows_it_scores(trained):
+    _, config_path, _ = trained
+    run_dir = _run_dir(trained)
+    args = ["evaluate", "--config", str(config_path), "--split", "test", "--classifier", "both"]
+    assert main(args) == 0
+    before = _eval_reports(run_dir)
+    test_ids = set(json.loads((run_dir / "split.json").read_text())["test"])
+    tsv = run_dir / "chunk_embeddings.tsv"
+    good = tsv.read_text()
+    rows = [line if line.split("\t")[0] in test_ids else line.replace("\t", "\tgarbage", 2)
+            for line in good.splitlines(keepends=True)]
+    tsv.write_text("".join(rows))
+    try:
+        assert main(args) == 0
+    finally:
+        tsv.write_text(good)
+    assert _eval_reports(run_dir) == before
+

@@ -1,6 +1,12 @@
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chunkdoc import embedder
 from chunkdoc.chunker import Chunk, chunk_document
 from chunkdoc.corpus import Corpus, Document, LabelSet
 from chunkdoc.embedder import (EmbedderConfig, Vocabulary, build_vocab,
@@ -214,8 +220,207 @@ def test_training_chunk_without_vocab_tokens_fatal():
         train_pvdm(chunks, vocab, EmbedderConfig(dim=8, epochs=1, min_count=1), seed=0)
 
 
+@given(
+    st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=14), min_size=1, max_size=5),
+    st.integers(1, 4), st.integers(0, 3), st.integers(1, 2), st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_zero_learning_rate_keeps_matrices_and_masks_padding(word_ids, window, negative,
+                                                            epochs, seed):
+    """With alpha = min_alpha = 0 nothing moves, and each epoch's loss is the
+    loss of the initial matrices over the real positions only: padded
+    positions of the shorter chunks neither update nor count."""
+    chunks = [Chunk(f"d{b}", 1, tuple(f"w{j}" for j in ids)) for b, ids in enumerate(word_ids)]
+    vocab = build_vocab(chunks, 1)
+    config = EmbedderConfig(dim=4, window=window, epochs=epochs, negative=negative,
+                            min_count=1, alpha=0.0, min_alpha=0.0)
+    initial = train_pvdm(chunks, vocab, replace(config, epochs=0), seed)
+    trained = train_pvdm(chunks, vocab, config, seed)
+    assert np.array_equal(trained.W_in, initial.W_in)
+    assert np.array_equal(trained.W_out, initial.W_out)
+    assert np.array_equal(trained.P, initial.P)
+
+    encoded = [vocab.encode(c.tokens) for c in chunks]
+    lmax = max(len(ids) for ids in encoded)
+    rng = np.random.default_rng([seed, 1])  # one (chunks, longest, negative) draw per epoch
+    W_in, W_out = initial.W_in.astype(np.float64), initial.W_out.astype(np.float64)
+    for loss in trained.epoch_losses:
+        negs = vocab.sample_noise(rng, (len(chunks), lmax, negative))
+        total, count = 0.0, 0
+        for b, ids in enumerate(encoded):
+            for i in range(len(ids)):
+                ctx = np.concatenate((ids[max(0, i - window):i], ids[i + 1:i + window + 1]))
+                l1 = (W_in[ctx].sum(axis=0) + initial.P[b]) / (ctx.size + 1)
+                targets = np.concatenate(([ids[i]], negs[b, i]))
+                fout = 1.0 / (1.0 + np.exp(-(W_out[targets] @ l1)))
+                total += -np.log(fout[0]) - np.log1p(-fout[1:]).sum()
+                count += 1
+        assert loss == pytest.approx(total / count, rel=1e-5)
+
+
+def _reference_lockstep_epoch(model, rows, encoded, negs, alphas, labels) -> None:
+    """Lockstep SGD written as loops, the oracle for one group's epoch in
+    `train_pvdm`: at position i every chunk of the group (rows of `P`) that has
+    one computes its step from the matrices as they were before the step, then
+    the steps land chunk by chunk. With one chunk this is the per-position
+    loop that training ran before."""
+    W_in, W_out, P = model.W_in, model.W_out, model.P
+    window = model.window
+    for i in range(max(len(ids) for ids in encoded)):
+        steps = []
+        for j, (b, ids) in enumerate(zip(rows, encoded)):
+            if i >= len(ids):
+                continue
+            ctx = np.concatenate((ids[max(0, i - window):i], ids[i + 1:i + window + 1]))
+            l1 = (W_in[ctx].sum(axis=0) + P[b]) / np.float32(ctx.size + 1)
+            targets = np.concatenate(([ids[i]], negs[j, i]))
+            l2 = W_out[targets]
+            fout = 1.0 / (1.0 + np.exp(-(l2 * l1).sum(axis=1)))
+            g = (labels - fout) * alphas[j, i]
+            g[1:][negs[j, i] == ids[i]] = 0.0
+            steps.append((b, ctx, targets, g[:, None] * l1, (g[:, None] * l2).sum(axis=0)))
+        for b, ctx, targets, update, neu1e in steps:
+            for t, u in zip(targets, update):
+                W_out[t] += u
+            for c in ctx:
+                W_in[c] += neu1e
+            P[b] += neu1e
+
+
+@given(
+    st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=25), min_size=1, max_size=5),
+    st.integers(1, 4), st.integers(0, 4), st.integers(1, 2), st.integers(0, 2**16),
+    st.sampled_from([1, 20, 40, 10**6]),
+)
+@settings(max_examples=60, deadline=None)
+def test_lockstep_training_equals_the_loop_reference(word_ids, window, negative, epochs, seed,
+                                                    max_cells):
+    """Bit-equal to the loop oracle, in one group or split by a small budget
+    (1 cell: every chunk its own group)."""
+    chunks = [Chunk(f"d{b}", 1, tuple(f"w{j}" for j in ids)) for b, ids in enumerate(word_ids)]
+    vocab = build_vocab(chunks, 1)
+    config = EmbedderConfig(dim=8, window=window, epochs=epochs, negative=negative,
+                            min_count=1)
+    with mock.patch.object(embedder, "_TRAIN_BUDGET_ELEMS", max_cells * (negative + 1)):
+        trained = train_pvdm(chunks, vocab, config, seed)
+
+    expected = train_pvdm(chunks, vocab, replace(config, epochs=0), seed)
+    encoded = [vocab.encode(c.tokens) for c in chunks]
+    lengths = np.array([len(ids) for ids in encoded])
+    groups = embedder._length_groups(lengths, max_cells)
+    rng = np.random.default_rng([seed, 1])  # one (group, longest, negative) draw per group
+    labels = np.zeros(negative + 1, dtype=np.float32)
+    labels[0] = 1.0
+    span = config.alpha - config.min_alpha
+    for epoch in range(epochs):
+        for rows in groups:
+            glen = lengths[rows][:, None]
+            positions = np.arange(glen.max())
+            negs = vocab.sample_noise(rng, (len(rows), len(positions), negative))
+            alphas = (config.alpha - span * (epoch * glen + positions) / (epochs * glen))
+            _reference_lockstep_epoch(expected, rows, [encoded[b] for b in rows], negs,
+                                      alphas.astype(np.float32), labels)
+    assert np.array_equal(trained.W_in, expected.W_in)
+    assert np.array_equal(trained.W_out, expected.W_out)
+    assert np.array_equal(trained.P, expected.P)
+
+
+@given(st.lists(st.integers(1, 60), max_size=30), st.integers(1, 200))
+@settings(max_examples=200, deadline=None)
+def test_length_groups_partition_and_bound(lengths, max_cells):
+    lengths = np.array(lengths, dtype=np.int64)
+    groups = embedder._length_groups(lengths, max_cells)
+    assert sorted(np.concatenate(groups + [np.array([], dtype=np.int64)])) == list(range(len(lengths)))
+    for rows in groups:
+        assert list(rows) == sorted(rows)
+        assert len(rows) == 1 or len(rows) * lengths[rows].max() <= max_cells
+    for a, b in zip(groups, groups[1:]):  # shortest first, and greedy: b's shortest did not fit in a
+        assert lengths[a].max() <= lengths[b].min()
+        assert (len(a) + 1) * lengths[b].min() > max_cells
+
+
+def test_one_long_chunk_trains_in_a_group_of_its_own():
+    """A chunk 50x longer than the rest does not pad the short ones to its
+    length: with the default budget it gets its own group."""
+    lengths = np.array([600] * 449 + [30_000] + [600])
+    groups = embedder._length_groups(lengths, embedder._TRAIN_BUDGET_ELEMS // 6)
+    assert [len(g) for g in groups] == [450, 1] and list(groups[1]) == [449]
+
+
 # ---------------------------------------------------------------------------
 # inference
+
+def _reference_infer_batch(model, encoded_seqs, steps, seeds, alpha, min_alpha):
+    """The inference loop before the context sums, targets and gates were
+    hoisted out of it, kept verbatim as the oracle for the hoisted kernel."""
+    B = len(encoded_seqs)
+    dim, window, k = model.dim, model.window, model.negative
+    lengths = np.array([len(e) for e in encoded_seqs], dtype=np.int64)
+    if (lengths == 0).any():
+        raise OOVChunkError("chunk has no in-vocabulary tokens")
+    rngs = [np.random.default_rng(s) for s in seeds]
+    bound = 0.5 / dim
+    P = np.stack([rng.uniform(-bound, bound, dim) for rng in rngs])
+    if steps <= 0:
+        return P.astype(np.float32)
+
+    Lmax = int(lengths.max())
+    W_in = model.W_in.astype(np.float64)
+    W_out = model.W_out.astype(np.float64)
+    ids_pad = np.zeros((B, Lmax), dtype=np.int64)
+    for b, e in enumerate(encoded_seqs):
+        ids_pad[b, : len(e)] = e
+
+    # Window sums via per-chunk cumulative sums; padded tail rows never read.
+    csum = np.zeros((B, Lmax + 1, dim), dtype=np.float64)
+    np.cumsum(W_in[ids_pad], axis=1, out=csum[:, 1:])
+    positions = np.arange(Lmax)
+    lo = np.maximum(0, positions - window)
+    hi = np.minimum(lengths[:, None], positions[None, :] + window + 1)
+    hi = np.maximum(hi, lo[None, :])
+    inv_denom = 1.0 / np.maximum(1, hi - lo[None, :] - 1 + 1)  # ctx words + paragraph
+    rows = np.arange(B)
+
+    labels = np.zeros(k + 1, dtype=np.float64)
+    labels[0] = 1.0
+    span = alpha - min_alpha
+    per_seq_total = (steps * lengths).astype(np.float64)
+    for step in range(steps):
+        negs = np.zeros((B, Lmax, k), dtype=np.int64)
+        for b in range(B):
+            negs[b, : lengths[b]] = model.vocab.sample_noise(rngs[b], (int(lengths[b]), k))
+        alphas = alpha - span * ((step * lengths[:, None] + positions[None, :]) / per_seq_total[:, None])
+        for i in range(Lmax):
+            active = i < lengths
+            if not active.any():
+                break
+            center = ids_pad[:, i]
+            ctx_sum = csum[rows, hi[:, i]] - csum[:, lo[i]] - W_in[center]
+            l1 = (ctx_sum + P) * inv_denom[:, i, None]
+            tgt = np.concatenate((center[:, None], negs[:, i, :]), axis=1)
+            Wt = W_out[tgt]
+            scores = (Wt * l1[:, None, :]).sum(axis=2)
+            fout = 1.0 / (1.0 + np.exp(-scores))
+            g = (labels[None, :] - fout) * alphas[:, i, None]
+            g[:, 1:][tgt[:, 1:] == center[:, None]] = 0.0
+            g[~active] = 0.0
+            P += (g[:, :, None] * Wt).sum(axis=1)
+    return P.astype(np.float32)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 6])
+def test_infer_batch_bit_equal_to_reference_loop(two_topic_model, steps):
+    from chunkdoc.embedder import _infer_batch
+
+    model, chunks = two_topic_model
+    long_ids = np.concatenate([model.vocab.encode(c.tokens) for c in chunks[:5]])[:667]
+    ids = model.vocab.encode(chunks[7].tokens)
+    window = model.window
+    ragged = [ids[:1], ids[:window - 2], ids[:window + 1], ids[:2 * window + 3], long_ids, ids]
+    for batch in (ragged, ragged[:2]):  # the second is shorter than the window throughout
+        seeds = [[5, b] for b in range(len(batch))]
+        expected = _reference_infer_batch(model, batch, steps, seeds, 0.025, 0.0001)
+        assert np.array_equal(_infer_batch(model, batch, steps, seeds, 0.025, 0.0001), expected)
 
 def test_infer_steps_zero_returns_seeded_init(two_topic_model):
     model, chunks = two_topic_model
