@@ -33,6 +33,7 @@ PARAM_ORDER = (
     "bn.gamma", "bn.beta",
     "head.W", "head.b",
 )
+_POOL_BATCH = 256  # documents per eval-mode forward pass in `document_vectors`
 
 
 @dataclass
@@ -459,13 +460,12 @@ def collate(embedding_lists: list[list[ChunkEmbedding]]):
 
 
 def document_vectors(model: AggregatorModel,
-                     embeddings: dict[str, list[ChunkEmbedding]],
-                     batch_size: int = 256) -> dict[str, np.ndarray]:
+                     embeddings: dict[str, list[ChunkEmbedding]]) -> dict[str, np.ndarray]:
     """Eval-mode attention-pooled vector for every document (pre-head)."""
     ids = sorted(embeddings)
     out: dict[str, np.ndarray] = {}
-    for start in range(0, len(ids), batch_size):
-        batch_ids = ids[start : start + batch_size]
+    for start in range(0, len(ids), _POOL_BATCH):
+        batch_ids = ids[start : start + _POOL_BATCH]
         x, mask = collate([embeddings[i] for i in batch_ids])
         trace = model.forward(x, mask, training=False)
         for doc_id, vec in zip(batch_ids, trace.doc_vectors):

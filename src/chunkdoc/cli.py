@@ -6,9 +6,15 @@ drives everything; flags override it. All artifacts land in
 each is written atomically. `evaluate` reads only split.json (ids and gold
 labels), aggregator.bin, svm.bin and chunk_embeddings.tsv, never the corpus.
 
-Exit codes: 0 success, 2 input/config error (including an unreadable
-split.json, a missing or unreadable checkpoint or chunk_embeddings.tsv, or a
-run left INCOMPLETE by an unfinished `train`), 3 data error, 4 training failure.
+`predict` takes its chunk count from aggregator.bin and labels one document
+through the path `evaluate` scores: pooled document vector, then the linear
+head. A `train` that trains no SVM removes the run's svm.bin, so no head from
+an earlier run outlives a retrain.
+
+Exit codes: 0 success, 2 input/config error (including an unreadable config,
+split.json or input file, a missing or unreadable checkpoint or
+chunk_embeddings.tsv, or a run left INCOMPLETE by an unfinished `train`), 3 data
+error (such as a `predict` input that is empty or not UTF-8), 4 training failure.
 """
 
 from __future__ import annotations
@@ -21,8 +27,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .aggregator import (collate, document_vectors, load_aggregator, save_aggregator,
-                         write_training_log)
+from .aggregator import document_vectors, load_aggregator, save_aggregator, write_training_log
 from .checkpoint import atomic_write
 from .chunker import ChunkingConfig, split_into_chunks
 from .config import PipelineConfig, load_config
@@ -83,7 +88,7 @@ def _resolved_config(args) -> PipelineConfig:
     if args.seed is not None:
         config.split.seed = args.seed
         config.aggregator.seed = args.seed
-    if args.chunks is not None:
+    if getattr(args, "chunks", None) is not None:
         if args.chunks < 1:
             raise ConfigError(f"--chunks must be >= 1, got {args.chunks}")
         config.chunking = ChunkingConfig(args.chunks)
@@ -142,6 +147,8 @@ def cmd_train(args) -> int:
         export_embeddings(pipe.doc_vectors, doc_labels, run_dir / "embeddings_bilstm.tsv")
         if pipe.svm is not None:
             save_svm(pipe.svm, run_dir / "svm.bin")
+        else:
+            (run_dir / "svm.bin").unlink(missing_ok=True)
         marker.unlink()
         best = max(pipe.train_log, key=lambda r: r["val_f1"])
         print(f"trained {config.chunking.n_chunks}-chunk model: "
@@ -216,17 +223,23 @@ def cmd_predict(args) -> int:
     input_path = Path(args.input)
     if not input_path.is_file():
         raise ConfigError(f"input file not found: {input_path}")
-    n_chunks = args.chunks if args.chunks is not None else aggregator.n_chunks
+    try:
+        text = input_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"document {input_path} is not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read input file {input_path}: {exc}") from None
 
-    tokens = tokenize(input_path.read_text(encoding="utf-8"))
+    tokens = tokenize(text)
     if not tokens:
         raise DataError(f"document {input_path} is empty after preprocessing")
-    chunks = split_into_chunks(tokens, n_chunks, doc_id=input_path.stem)
+    chunks = split_into_chunks(tokens, aggregator.n_chunks, doc_id=input_path.stem)
     e = config.embedder
     embs = embed_chunks(pvdm, chunks, e.infer_steps, config.aggregator.seed, e.alpha, e.min_alpha)
-    _, probs = aggregator.predict(*collate([embs]))
-    probabilities = {lab: float(p) for lab, p in zip(aggregator.labels, probs[0])}
-    label = aggregator.labels[int(probs[0].argmax())]
+    doc_vector = document_vectors(aggregator, {input_path.stem: embs})[input_path.stem]
+    probs = aggregator.classify(doc_vector[None, :])[0]
+    probabilities = {lab: float(p) for lab, p in zip(aggregator.labels, probs)}
+    label = aggregator.labels[int(probs.argmax())]
     print(json.dumps({"label": label, "probabilities": probabilities}))
     return 0
 
@@ -267,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", default=None, help="override output_dir")
     common.add_argument("--seed", type=int, default=None,
                         help="override the split and training seeds")
-    common.add_argument("--chunks", type=int, default=None, help="override chunking.n_chunks")
     common.add_argument("--classifier", choices=["linear", "svm", "both"], default=None,
                         help="override the classifier head selection")
     common.add_argument("-v", "--verbose", action="store_true", help="info-level logging")
@@ -278,6 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_prepare)
     p = sub.add_parser("train", parents=[common],
                        help="train embedder, aggregator, and optional SVM; write checkpoints")
+    p.add_argument("--chunks", type=int, default=None, help="override chunking.n_chunks")
     p.set_defaults(func=cmd_train)
     p = sub.add_parser("evaluate", parents=[common], help="write F1 reports and confusion matrices")
     p.add_argument("--split", choices=["validation", "test", "all"], default="all")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,17 +40,16 @@ def strip_boilerplate(
     raw_text: str,
     label: str,
     header_labels: frozenset[str] = DEFAULT_HEADER_LABELS,
-    n_lines: int = HEADER_LINES,
 ) -> str:
-    """Drop the first `n_lines` physical lines for labels in `header_labels`.
+    """Drop the first HEADER_LINES physical lines for labels in `header_labels`.
 
-    Text with `n_lines` or fewer lines collapses to the empty string, which
+    Text with HEADER_LINES or fewer lines collapses to the empty string, which
     later fails the non-empty token check at load time.
     """
     if label not in header_labels:
         return raw_text
     lines = raw_text.split("\n")
-    return "\n".join(lines[n_lines:])
+    return "\n".join(lines[HEADER_LINES:])
 
 
 def _sentence_count(text: str) -> int:
@@ -104,18 +103,11 @@ class LabelSet:
 
 
 @dataclass
-class LoadReport:
-    n_loaded: int = 0
-    skipped: list[tuple[str, str]] = field(default_factory=list)  # (path, reason)
-
-
-@dataclass
 class Corpus:
     """Immutable collection of documents plus the label inventory."""
 
     documents: list[Document]
     label_set: LabelSet
-    load_report: LoadReport | None = None
 
     def __post_init__(self):
         self._by_id = {d.id: d for d in self.documents}
@@ -134,9 +126,6 @@ class Corpus:
         except KeyError:
             raise DataError(f"unknown document id {doc_id!r}") from None
 
-    def ids(self) -> list[str]:
-        return [d.id for d in self.documents]
-
     def by_label(self, label: str) -> list[Document]:
         return [d for d in self.documents if d.label == label]
 
@@ -145,18 +134,15 @@ def load_corpus(
     root_dir,
     label_set: LabelSet,
     header_labels: frozenset[str] = DEFAULT_HEADER_LABELS,
-    report_stream=None,
 ) -> Corpus:
     """Load ``<root>/<label>/*.txt`` into a Corpus.
 
     Documents whose token stream is empty after preprocessing are skipped;
-    one line per skipped file goes to `report_stream` (stderr by default).
+    one line per skipped file goes to stderr.
     A label directory outside `label_set`, or a missing directory for a
     label in the set, is fatal. File order is lexicographic by path, so the
     same tree always loads into the same document order.
     """
-    if report_stream is None:
-        report_stream = sys.stderr
     root = Path(root_dir)
     if not root.is_dir():
         raise ConfigError(f"corpus root does not exist: {root}")
@@ -168,26 +154,22 @@ def load_corpus(
         raise ConfigError(f"missing label directory: {root / missing[0]}")
 
     documents: list[Document] = []
-    report = LoadReport()
     for label in sorted(label_set):
         for path in sorted((root / label).glob("*.txt")):
             try:
                 raw = path.read_text(encoding="utf-8")
             except (OSError, UnicodeDecodeError) as exc:
-                report.skipped.append((str(path), f"unreadable: {exc}"))
+                print(f"skipped {path}: unreadable: {exc}", file=sys.stderr)
                 continue
             tokens = tokenize(strip_boilerplate(raw, label, header_labels))
             if not tokens:
-                report.skipped.append((str(path), "no tokens after preprocessing"))
+                print(f"skipped {path}: no tokens after preprocessing", file=sys.stderr)
                 continue
             documents.append(
                 Document(id=f"{label}/{path.stem}", label=label, raw_text=raw, tokens=tuple(tokens))
             )
     documents.sort(key=lambda d: d.id)
-    report.n_loaded = len(documents)
-    for path, reason in report.skipped:
-        print(f"skipped {path}: {reason}", file=report_stream)
-    return Corpus(documents=documents, label_set=label_set, load_report=report)
+    return Corpus(documents=documents, label_set=label_set)
 
 
 @dataclass

@@ -159,14 +159,3 @@ def export_embeddings(vectors: dict[str, np.ndarray], labels: dict[str, str], pa
         rows.append(f"{doc_id}\t{labels[doc_id]}\t{vals}\n")
     atomic_write(path, "".join(rows))
 
-
-def load_exported_embeddings(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    vectors: dict[str, np.ndarray] = {}
-    labels: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        next(f)  # header
-        for line in f:
-            parts = line.rstrip("\n").split("\t")
-            vectors[parts[0]] = np.array([float(x) for x in parts[2:]], dtype=np.float32)
-            labels[parts[0]] = parts[1]
-    return vectors, labels

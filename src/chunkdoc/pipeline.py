@@ -77,8 +77,7 @@ def train_pipeline(corpus: Corpus, split: DatasetSplit, settings: PipelineSettin
     if classifier in ("svm", "both"):
         train_x = np.stack([doc_vecs[i] for i in split.train])
         train_y = [corpus.get(i).label for i in split.train]
-        svm_model = train_multiclass_svm(train_x, train_y, list(corpus.label_set),
-                                         settings.svm, seed=seed)
+        svm_model = train_multiclass_svm(train_x, train_y, list(corpus.label_set), settings.svm)
     return TrainedPipeline(
         pvdm=pvdm, embeddings=embeddings, aggregator=aggregator,
         train_log=train_log, doc_vectors=doc_vecs, svm=svm_model,

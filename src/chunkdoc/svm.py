@@ -3,7 +3,9 @@
 The binary solver is SMO with maximal-violating-pair working-set selection:
 at each iteration the pair with the largest KKT violation gets the exact
 two-variable analytic update, until the violation gap drops below the
-tolerance or the iteration bound is hit. Everything is float64.
+tolerance or the iteration bound is hit. Everything is float64. A trained
+`SVMModel` labels a batch of pooled document vectors by the argmax of its
+per-class decision values.
 """
 
 from __future__ import annotations
@@ -33,13 +35,8 @@ class SVMConfig:
             raise ValueError("C and tolerance must be positive")
 
 
-def rbf_kernel(x, y, gamma: float) -> float:
-    """exp(-gamma * ||x - y||^2)."""
-    diff = np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64)
-    return float(np.exp(-gamma * np.dot(diff, diff)))
-
-
 def rbf_kernel_matrix(X, Y, gamma: float) -> np.ndarray:
+    """K[i, j] = exp(-gamma * ||X[i] - Y[j]||^2), from the expanded square."""
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     sq = (X * X).sum(axis=1)[:, None] + (Y * Y).sum(axis=1)[None, :] - 2.0 * (X @ Y.T)
@@ -104,14 +101,6 @@ def solve_binary_dual(X, y, C: float, gamma: float, tolerance: float,
     return alpha, bias, iterations
 
 
-def dual_objective(X, y, alpha, gamma: float) -> float:
-    """Dual objective sum(alpha) - 0.5 * alpha' Q alpha with Q = yy' * K."""
-    K = rbf_kernel_matrix(X, X, gamma)
-    np.fill_diagonal(K, 1.0)
-    ya = np.asarray(alpha) * np.asarray(y, dtype=np.float64)
-    return float(alpha.sum() - 0.5 * ya @ K @ ya)
-
-
 @dataclass
 class BinarySVM:
     """Support vectors with their signed dual coefficients alpha_j * y_j."""
@@ -128,12 +117,8 @@ class BinarySVM:
         return K @ self.dual_coef + self.bias
 
 
-def train_binary_svm(X, y, config: SVMConfig, seed: int = 0) -> BinarySVM:
-    """Train one binary machine; labels must be in {-1, +1} with both present.
-
-    The solver itself is deterministic, so `seed` only pins the signature's
-    reproducibility contract.
-    """
+def train_binary_svm(X, y, config: SVMConfig) -> BinarySVM:
+    """Train one binary machine; labels must be in {-1, +1} with both present."""
     y = np.asarray(y, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
     if not ((y > 0).any() and (y < 0).any()):
@@ -167,11 +152,8 @@ class SVMModel:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         return np.stack([m.decision(X, self.gamma) for m in self.machines], axis=1)
 
-    def predict_index(self, X) -> np.ndarray:
-        return self.decision_values(X).argmax(axis=1)
-
     def predict(self, X) -> list[str]:
-        return [self.labels[i] for i in self.predict_index(X)]
+        return [self.labels[i] for i in self.decision_values(X).argmax(axis=1)]
 
 
 def train_multiclass_svm(doc_vectors, labels, label_order, config: SVMConfig,
@@ -179,7 +161,7 @@ def train_multiclass_svm(doc_vectors, labels, label_order, config: SVMConfig,
     """Train one binary machine per class (one-vs-rest).
 
     Prediction takes the argmax of decision values; ties resolve to the
-    lowest class index.
+    lowest class index. The solver is deterministic, so `seed` changes nothing.
     """
     X = np.asarray(doc_vectors, dtype=np.float64)
     label_order = list(label_order)
@@ -191,20 +173,10 @@ def train_multiclass_svm(doc_vectors, labels, label_order, config: SVMConfig,
     machines = []
     for label in label_order:
         y = np.where(np.asarray(labels) == label, 1.0, -1.0)
-        machines.append(train_binary_svm(X, y, resolved, seed))
+        machines.append(train_binary_svm(X, y, resolved))
     return SVMModel(labels=label_order, gamma=gamma, C=config.C,
                     tolerance=config.tolerance, max_passes=config.max_passes,
                     machines=machines)
-
-
-def predict_svm(model: SVMModel, x) -> tuple[str, np.ndarray]:
-    """Predict one vector; returns (label, per-class decision values)."""
-    x = np.asarray(x, dtype=np.float64)
-    d = model.machines[0].support_vectors.shape[1] if len(model.machines[0].support_vectors) else x.shape[0]
-    if x.shape != (d,):
-        raise DataError(f"expected a vector of dimension {d}, got shape {x.shape}")
-    values = model.decision_values(x[None, :])[0]
-    return model.labels[int(values.argmax())], values
 
 
 def save_svm(model: SVMModel, path) -> None:

@@ -83,18 +83,6 @@ def write_sweep_tsv(rows: list[SweepRow], path) -> None:
     atomic_write(path, "".join(lines))
 
 
-def read_sweep_tsv(path) -> list[SweepRow]:
-    rows = []
-    with open(path, "r", encoding="utf-8") as f:
-        header = next(f).rstrip("\n").split("\t")
-        if tuple(header) != SWEEP_COLUMNS:
-            raise IOError(f"unexpected sweep header {header}")
-        for line in f:
-            n, w_c, kind, seed, val, test = line.rstrip("\n").split("\t")
-            rows.append(SweepRow(int(n), float(w_c), kind, int(seed), float(val), float(test)))
-    return rows
-
-
 def format_sweep_table(rows: list[SweepRow]) -> str:
     """Human-readable table; F1 as percentages with two decimals."""
     header = f"{'model':<12}{'W_c':>12}{'classifier':>12}{'seed':>6}{'Val.F1':>10}{'Test.F1':>10}"

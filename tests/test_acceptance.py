@@ -22,11 +22,11 @@ from chunkdoc.corpus import split_dataset
 from chunkdoc.embedder import (EmbedderConfig, build_vocab, load_pvdm, train_pvdm)
 from chunkdoc.evaluation import f1_report
 from chunkdoc.pipeline import PipelineSettings, evaluate, train_pipeline
-from chunkdoc.svm import (SVMConfig, dual_objective, load_svm, rbf_kernel_matrix,
-                          solve_binary_dual, train_binary_svm, train_multiclass_svm)
+from chunkdoc.svm import (SVMConfig, load_svm, solve_binary_dual, train_binary_svm,
+                          train_multiclass_svm)
 from chunkdoc.sweep import SWEEP_COLUMNS, run_chunk_sweep, write_sweep_tsv
 from chunkdoc.synthetic import SyntheticSpec, generate_synthetic_corpus
-from helpers import make_cli_workspace
+from helpers import dual_objective, make_cli_workspace, projected_gradient_dual
 
 
 def _report(criterion: str, detail: str) -> None:
@@ -267,33 +267,6 @@ def test_criterion_5_embedder_separation():
 # ---------------------------------------------------------------------------
 # 6. SVM correctness
 
-def _project_box_hyperplane(alpha, y, C):
-    lo, hi = -C * len(y), C * len(y)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if float(y @ np.clip(alpha + mid * y, 0.0, C)) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return np.clip(alpha + 0.5 * (lo + hi) * y, 0.0, C)
-
-
-def _projected_gradient_dual(X, y, C, gamma, iters=30000, tol=1e-12):
-    y = np.asarray(y, dtype=np.float64)
-    K = rbf_kernel_matrix(X, X, gamma)
-    np.fill_diagonal(K, 1.0)
-    Q = np.outer(y, y) * K
-    lr = 1.0 / np.linalg.eigvalsh(Q).max()
-    alpha = _project_box_hyperplane(np.zeros(len(y)), y, C)
-    for _ in range(iters):
-        new_alpha = _project_box_hyperplane(alpha + lr * (1.0 - Q @ alpha), y, C)
-        moved = float(np.abs(new_alpha - alpha).max())
-        alpha = new_alpha
-        if moved < tol:
-            break
-    return alpha
-
-
 def test_criterion_6_svm_correctness():
     rng = np.random.default_rng(601)
     X = np.concatenate([rng.standard_normal((20, 2)) * 0.5 + [2.0, 2.0],
@@ -301,7 +274,7 @@ def test_criterion_6_svm_correctness():
     y = np.concatenate([np.ones(20), -np.ones(20)])
     gamma, C = 0.5, 1.0
     alpha, _, _ = solve_binary_dual(X, y, C, gamma, tolerance=1e-4, max_passes=20000)
-    alpha_pg = _projected_gradient_dual(X, y, C, gamma)
+    alpha_pg = projected_gradient_dual(X, y, C, gamma)
     gap = abs(dual_objective(X, y, alpha, gamma) - dual_objective(X, y, alpha_pg, gamma))
     assert gap <= 1e-3
     assert np.all(alpha >= -1e-12) and np.all(alpha <= C + 1e-12)

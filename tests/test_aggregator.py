@@ -589,7 +589,7 @@ def test_document_vectors_single_chunk_equals_hidden_state():
     corpus, split, embeddings = _gaussian_embedded_corpus(n_per_class=4, n_chunks=1)
     model = _seeded_model(list(corpus.label_set), 12, 5, n_chunks=1, seed=3)
     vecs = document_vectors(model, embeddings)
-    doc_id = corpus.ids()[0]
+    doc_id = corpus.documents[0].id
     x, mask = collate([embeddings[doc_id]])
     h, _ = bilstm_forward(_f64(model.params), x, mask)
     np.testing.assert_allclose(vecs[doc_id], h[0, 0], atol=1e-12)
@@ -602,7 +602,7 @@ def test_classify_of_document_vectors_matches_predict():
     model = _seeded_model(list(corpus.label_set), 12, 5, seed=3)
     model.bn_mean = np.linspace(-0.2, 0.2, 10).astype(np.float32)
     model.bn_var = np.linspace(0.5, 1.5, 10).astype(np.float32)
-    ids = corpus.ids()
+    ids = [d.id for d in corpus]
     vecs = document_vectors(model, embeddings)
     probs = model.classify(np.stack([vecs[i] for i in ids]))
     preds, ref = model.predict(*collate([embeddings[i] for i in ids]))
@@ -628,7 +628,7 @@ def _small_trained_model():
     config = AggregatorConfig(hidden_size=6, learning_rate=0.01, batch_size=8,
                               epochs=3, patience=10)
     model, _ = train_aggregator(corpus, split, embeddings, config, seed=2, n_chunks=3)
-    return model, collate([embeddings[corpus.ids()[0]]])
+    return model, collate([embeddings[corpus.documents[0].id]])
 
 
 def test_checkpoint_roundtrip_bitwise_forward(tmp_path):

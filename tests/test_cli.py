@@ -118,13 +118,19 @@ def test_train_writes_checkpoints_and_exports(trained):
     assert all(set(r) == {"epoch", "train_loss", "val_f1"} for r in log_rows)
 
 
-def test_train_linear_only_skips_svm(workspace):
+def test_train_linear_only_skips_svm(workspace, capsys):
     _, config_path, _ = workspace
     assert main(["prepare", "--config", str(config_path)]) == 0
-    assert main(["train", "--config", str(config_path)]) == 0
+    assert main(["train", "--config", str(config_path), "--classifier", "both"]) == 0
     run_dir = _run_dir(workspace)
+    assert (run_dir / "svm.bin").is_file()
+    # a linear-only retrain leaves no SVM of the earlier run behind
+    assert main(["train", "--config", str(config_path)]) == 0
     assert (run_dir / "aggregator.bin").is_file()
     assert not (run_dir / "svm.bin").exists()
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(config_path), "--classifier", "svm"]) == 2
+    assert "train with --classifier svm" in capsys.readouterr().err
 
 
 def test_evaluate_all_emits_validation_and_test(trained, capsys):
@@ -187,15 +193,41 @@ def test_predict_empty_document_exit_3(trained, capsys):
     assert main(["predict", "--config", str(config_path), str(empty)]) == 3
 
 
+@pytest.mark.parametrize("target,damage,code", [("document", "latin1", 3),
+                                                 ("document", "unreadable", 2),
+                                                 ("config", "latin1", 2),
+                                                 ("config", "unreadable", 2)])
+def test_predict_unreadable_input(trained, tmp_path, monkeypatch, capsys, target, damage, code):
+    _, config_path, config = trained
+    document = Path(config["corpus"]["root"]) / "class0" / "doc0001.txt"
+    # Latin-1 bytes (0xE9 for é) are not UTF-8; `unreadable` fails before any byte is read
+    if target == "document":
+        path = document = tmp_path / "input.txt"
+        path.write_bytes("café market report".encode("latin-1"))
+    else:
+        path = config_path = tmp_path / "config.json"
+        path.write_bytes(json.dumps({**config, "run_name": "café"}, ensure_ascii=False)
+                         .encode("latin-1"))
+    if damage == "unreadable":
+        read_text = Path.read_text
+
+        def failing_read_text(self, *args, **kwargs):
+            if self == path:
+                raise PermissionError(13, "Permission denied", str(self))
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", failing_read_text)
+    assert main(["predict", "--config", str(config_path), str(document)]) == code
+    assert str(path) in capsys.readouterr().err
+
+
 def test_sweep_two_values(workspace, capsys):
     _, config_path, _ = workspace
     assert main(["prepare", "--config", str(config_path)]) == 0
     assert main(["sweep", "--config", str(config_path), "--n", "1,3"]) == 0
     run_dir = _run_dir(workspace)
-    from chunkdoc.sweep import read_sweep_tsv
-
-    rows = read_sweep_tsv(run_dir / "sweep.tsv")
-    assert [(r.n_chunks, r.classifier) for r in rows] == [(1, "linear"), (3, "linear")]
+    rows = [line.split("\t") for line in (run_dir / "sweep.tsv").read_text().splitlines()[1:]]
+    assert [(n, kind) for n, _, kind, *_ in rows] == [("1", "linear"), ("3", "linear")]
     out = capsys.readouterr().out
     assert "1-chunk" in out and "3-chunk" in out
 
@@ -206,16 +238,32 @@ def test_sweep_bad_n_exit_2(workspace, capsys):
     assert main(["sweep", "--config", str(config_path), "--n", "1,zebra"]) == 2
 
 
-def test_chunks_flag_overrides_config(workspace):
-    _, config_path, _ = workspace
+def test_chunks_flag_overrides_config(workspace, monkeypatch, capsys):
+    _, config_path, config = workspace
     assert main(["prepare", "--config", str(config_path)]) == 0
     assert main(["train", "--config", str(config_path), "--chunks", "2"]) == 0
     run_dir = _run_dir(workspace)
     resolved = json.loads((run_dir / "resolved_config.json").read_text())
     assert resolved["chunking"]["n_chunks"] == 2
+    from chunkdoc import cli
     from chunkdoc.aggregator import load_aggregator
 
     assert load_aggregator(run_dir / "aggregator.bin").n_chunks == 2
+    # predict takes n from the checkpoint, not from the config (n_chunks 3) or a flag
+    embedded = []
+    embed_chunks = cli.embed_chunks
+
+    def counting_embed_chunks(pvdm, chunks, *rest):
+        embedded.append(len(chunks))
+        return embed_chunks(pvdm, chunks, *rest)
+
+    monkeypatch.setattr(cli, "embed_chunks", counting_embed_chunks)
+    document = str(Path(config["corpus"]["root"]) / "class0" / "doc0001.txt")
+    assert main(["predict", "--config", str(config_path), document]) == 0
+    assert embedded == [2]
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", "--config", str(config_path), "--chunks", "5", document])
+    assert exc.value.code == 2
 
 
 def test_train_rerun_bit_identical(workspace):

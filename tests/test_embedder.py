@@ -486,7 +486,7 @@ def test_embed_corpus_counts(two_topic_model):
     corpus = _tiny_corpus()
     for n in (1, 3, 50):
         embs = embed_corpus(model, corpus, n, steps=2, seed=0)
-        assert set(embs) == set(corpus.ids())
+        assert set(embs) == {d.id for d in corpus}
         for doc in corpus:
             expected = min(n, len(doc.tokens))
             assert [e.index for e in embs[doc.id]] == list(range(1, expected + 1))

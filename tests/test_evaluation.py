@@ -5,8 +5,7 @@ import pytest
 
 from chunkdoc.corpus import LabelSet
 from chunkdoc.errors import DataError
-from chunkdoc.evaluation import (confusion_matrix, export_embeddings, f1_report,
-                                 load_exported_embeddings, macro_f1)
+from chunkdoc.evaluation import confusion_matrix, export_embeddings, f1_report, macro_f1
 
 
 def test_perfect_predictions():
@@ -132,10 +131,12 @@ def test_export_roundtrip_f32_exact(tmp_path):
     labels = {k: f"lab{i % 2}" for i, k in enumerate(sorted(vectors))}
     path = tmp_path / "emb.tsv"
     export_embeddings(vectors, labels, path)
-    back_vecs, back_labels = load_exported_embeddings(path)
-    assert back_labels == labels
-    for key, vec in vectors.items():
-        assert np.array_equal(back_vecs[key], vec)
+    rows = [line.split("\t") for line in path.read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == sorted(vectors)
+    for doc_id, label, *values in rows:
+        assert label == labels[doc_id]
+        assert np.array_equal(np.array([float(v) for v in values], dtype=np.float32),
+                              vectors[doc_id])
 
 
 def test_export_unwritable_path_fatal(tmp_path):

@@ -2,28 +2,31 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chunkdoc.errors import DataError
-from chunkdoc.svm import (BinarySVM, SVMConfig, SVMModel, dual_objective, load_svm,
-                          predict_svm, rbf_kernel, rbf_kernel_matrix, save_svm,
+from chunkdoc.svm import (BinarySVM, SVMConfig, load_svm, rbf_kernel_matrix, save_svm,
                           solve_binary_dual, train_binary_svm, train_multiclass_svm)
+from helpers import dual_objective, project_box_hyperplane, projected_gradient_dual, rbf_kernel
 
 
 # ---------------------------------------------------------------------------
 # kernel
 
 def test_kernel_identical_points():
-    x = np.array([0.3, -1.2, 4.0])
-    assert rbf_kernel(x, x, gamma=0.7) == 1.0
+    x = np.array([[0.3, -1.2, 4.0]])
+    assert rbf_kernel_matrix(x, x, gamma=0.7)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kernel_hand_value():
-    assert rbf_kernel(np.zeros(2), np.ones(2), gamma=0.5) == pytest.approx(math.exp(-1.0), rel=1e-12)
+    K = rbf_kernel_matrix(np.zeros((1, 2)), np.ones((1, 2)), gamma=0.5)
+    assert K[0, 0] == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
 def test_kernel_gamma_to_zero_limit():
-    x, y = np.array([5.0, 1.0]), np.array([-3.0, 2.0])
-    assert rbf_kernel(x, y, gamma=1e-14) == pytest.approx(1.0, abs=1e-10)
+    x, y = np.array([[5.0, 1.0]]), np.array([[-3.0, 2.0]])
+    assert rbf_kernel_matrix(x, y, gamma=1e-14)[0, 0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_kernel_properties_1000_pairs():
@@ -31,13 +34,14 @@ def test_kernel_properties_1000_pairs():
     rng = np.random.default_rng(0)
     for _ in range(1000):
         d = int(rng.integers(1, 6))
-        x = rng.standard_normal(d) * rng.uniform(0.1, 1.5)
-        y = rng.standard_normal(d) * rng.uniform(0.1, 1.5)
+        x = rng.standard_normal((1, d)) * rng.uniform(0.1, 1.5)
+        y = rng.standard_normal((1, d)) * rng.uniform(0.1, 1.5)
         gamma = float(rng.uniform(0.01, 0.5))
-        k_xy = rbf_kernel(x, y, gamma)
+        k_xy = rbf_kernel_matrix(x, y, gamma)[0, 0]
         assert 0.0 < k_xy <= 1.0
-        assert k_xy == rbf_kernel(y, x, gamma)
-        assert rbf_kernel(x, x, gamma) == 1.0
+        assert k_xy == rbf_kernel_matrix(y, x, gamma)[0, 0]
+        assert k_xy == pytest.approx(rbf_kernel(x[0], y[0], gamma), rel=1e-12, abs=1e-15)
+        assert rbf_kernel_matrix(x, x, gamma)[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kernel_matrix_matches_pairwise():
@@ -51,38 +55,19 @@ def test_kernel_matrix_matches_pairwise():
 
 
 # ---------------------------------------------------------------------------
-# independent oracle: projected gradient ascent on the dual
+# the oracle's projection onto {0 <= a <= C, y.a = 0}
 
-def _project(alpha, y, C):
-    """Exact Euclidean projection onto {0 <= a <= C, y.a = 0} by bisection
-    on the equality multiplier; y.clip(a + t*y) is monotone in t."""
-    lo, hi = -C * len(y), C * len(y)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if float(y @ np.clip(alpha + mid * y, 0.0, C)) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return np.clip(alpha + 0.5 * (lo + hi) * y, 0.0, C)
-
-
-def projected_gradient_dual(X, y, C, gamma, iters=30000, tol=1e-12):
-    """Maximize sum(a) - 0.5 a'Qa over the feasible set; plain projected
-    gradient ascent run to convergence. Independent of the SMO code path."""
-    y = np.asarray(y, dtype=np.float64)
-    K = rbf_kernel_matrix(X, X, gamma)
-    np.fill_diagonal(K, 1.0)
-    Q = np.outer(y, y) * K
-    lr = 1.0 / np.linalg.eigvalsh(Q).max()
-    alpha = _project(np.zeros(len(y)), y, C)
-    for _ in range(iters):
-        grad = 1.0 - Q @ alpha
-        new_alpha = _project(alpha + lr * grad, y, C)
-        moved = float(np.abs(new_alpha - alpha).max())
-        alpha = new_alpha
-        if moved < tol:
-            break
-    return alpha
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n),
+    st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n),
+    st.floats(1e-3, 1e3))))
+@settings(max_examples=200, deadline=None)
+def test_projection_is_feasible_and_a_clip(case):
+    v, y, C = np.array(case[0]), np.array(case[1]), case[2]
+    p, t = project_box_hyperplane(v, y, C)
+    assert np.all((p >= 0.0) & (p <= C))
+    assert abs(float(y @ p)) <= 1e-9 * C * len(y)
+    assert np.array_equal(p, np.clip(v + t * y, 0.0, C))
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +157,8 @@ def test_single_class_input_fatal():
 def test_solver_deterministic():
     X, y = _separable_2d(seed=2)
     config = SVMConfig(gamma=0.7, C=2.0)
-    a = train_binary_svm(X, y, config, seed=0)
-    b = train_binary_svm(X, y, config, seed=0)
+    a = train_binary_svm(X, y, config)
+    b = train_binary_svm(X, y, config)
     assert np.array_equal(a.support_vectors, b.support_vectors)
     assert np.array_equal(a.dual_coef, b.dual_coef)
     assert a.bias == b.bias
@@ -218,11 +203,10 @@ def test_degenerate_identical_vectors():
     X = np.ones((9, 3))
     labels = np.array(["a"] * 5 + ["b"] * 4)
     model = train_multiclass_svm(X, labels, ["a", "b"], SVMConfig(C=1.0, max_passes=500))
-    label, values = predict_svm(model, np.ones(3))
+    [label] = model.predict(np.ones((1, 3)))
     assert label in ("a", "b")
-    assert np.isfinite(values).all()
-    repeat, _ = predict_svm(model, np.ones(3))
-    assert repeat == label
+    assert np.isfinite(model.decision_values(np.ones((1, 3)))).all()
+    assert model.predict(np.ones((1, 3))) == [label]
 
 
 def test_default_gamma_is_one_over_dim():
@@ -231,29 +215,18 @@ def test_default_gamma_is_one_over_dim():
     assert model.gamma == 0.5
 
 
-def test_predict_dimension_mismatch_fatal():
-    X, labels = _three_clusters(n_per=10)
-    model = train_multiclass_svm(X, labels, ["c0", "c1", "c2"], SVMConfig())
-    with pytest.raises(DataError):
-        predict_svm(model, np.zeros(5))
-
-
 def test_predict_training_points_recovers_gold():
     X, labels = _three_clusters(seed=5, n_per=15)
     model = train_multiclass_svm(X, labels, ["c0", "c1", "c2"], SVMConfig(C=10.0))
-    for i in range(0, len(X), 7):
-        label, _ = predict_svm(model, X[i])
-        assert label == labels[i]
+    assert model.predict(X[::7]) == list(labels[::7])
 
 
 def test_predict_repeated_calls_identical():
     X, labels = _three_clusters(seed=6, n_per=10)
     model = train_multiclass_svm(X, labels, ["c0", "c1", "c2"], SVMConfig())
-    x = X[3]
-    first = predict_svm(model, x)
-    second = predict_svm(model, x)
-    assert first[0] == second[0]
-    assert np.array_equal(first[1], second[1])
+    x = X[3:4]
+    assert model.predict(x) == model.predict(x)
+    assert np.array_equal(model.decision_values(x), model.decision_values(x))
 
 
 def test_zero_support_vector_machine_bias_only():

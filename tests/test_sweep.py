@@ -10,8 +10,7 @@ from chunkdoc.corpus import split_dataset
 from chunkdoc.embedder import EmbedderConfig
 from chunkdoc.pipeline import PipelineSettings, train_pipeline
 from chunkdoc.svm import SVMConfig
-from chunkdoc.sweep import (SweepRow, format_sweep_table, read_sweep_tsv,
-                            run_chunk_sweep, write_sweep_tsv)
+from chunkdoc.sweep import SweepRow, format_sweep_table, run_chunk_sweep, write_sweep_tsv
 from chunkdoc.synthetic import SyntheticSpec, generate_synthetic_corpus
 
 TINY_SETTINGS = PipelineSettings(
@@ -84,22 +83,21 @@ def test_tsv_roundtrip_lossless(tmp_path, tiny_corpus_split):
     rows = run_chunk_sweep(corpus, split, [1, 3], ["linear"], [0], TINY_SETTINGS)
     path = tmp_path / "sweep.tsv"
     write_sweep_tsv(rows, path)
-    header = path.read_text().splitlines()[0]
+    header, *lines = path.read_text().splitlines()
     assert header == "n_chunks\tW_c\tclassifier\tseed\tval_f1\ttest_f1"
-    back = read_sweep_tsv(path)
-    assert len(back) == len(rows)
-    for orig, re in zip(rows, back):
-        assert (orig.n_chunks, orig.classifier, orig.seed) == (re.n_chunks, re.classifier, re.seed)
-        assert orig.w_c == re.w_c
-        assert orig.val_f1 == re.val_f1 and orig.test_f1 == re.test_f1
+    assert len(lines) == len(rows)
+    for orig, line in zip(rows, lines):
+        n, w_c, kind, seed, val, test = line.split("\t")
+        assert (orig.n_chunks, orig.classifier, orig.seed) == (int(n), kind, int(seed))
+        assert orig.w_c == float(w_c)
+        assert orig.val_f1 == float(val) and orig.test_f1 == float(test)
 
 
 def test_tsv_nan_rows_roundtrip(tmp_path):
     rows = [SweepRow(1, 60.0, "linear", 0, math.nan, math.nan, error="boom")]
     path = tmp_path / "sweep.tsv"
     write_sweep_tsv(rows, path)
-    back = read_sweep_tsv(path)
-    assert math.isnan(back[0].val_f1) and math.isnan(back[0].test_f1)
+    assert path.read_text().splitlines()[1] == "1\t60.0\tlinear\t0\tnan\tnan"
 
 
 def test_format_table_mentions_failed_and_percent():
