@@ -5,21 +5,25 @@ drives everything; flags override it. All artifacts land in
 ``<output_dir>/<run_name>/`` next to a copy of the resolved configuration;
 each is written atomically. `evaluate` reads only split.json (ids and gold
 labels), aggregator.bin, svm.bin and chunk_embeddings.tsv, never the corpus.
+Every command but `predict` holds a kernel `flock` on the run directory, which
+ends with the command, however it ends, and leaves no file.
 
 `predict` takes its chunk count from aggregator.bin and labels one document
 through the path `evaluate` scores: pooled document vector, then the linear
-head. A `train` that trains no SVM removes the run's svm.bin, so no head from
-an earlier run outlives a retrain.
+head. `train` first removes the run's svm.bin and eval reports, so no head or
+report from an earlier run outlives a retrain.
 
-Exit codes: 0 success, 2 input/config error (including an unreadable config,
-split.json or input file, a missing or unreadable checkpoint or
-chunk_embeddings.tsv, or a run left INCOMPLETE by an unfinished `train`), 3 data
-error (such as a `predict` input that is empty or not UTF-8), 4 training failure.
+Exit codes: 0 success, 2 input/config error (including a run directory another
+command holds, an unreadable config, split.json or input file, a missing or
+unreadable checkpoint or chunk_embeddings.tsv, or a run left INCOMPLETE by an
+unfinished `train`), 3 data error (such as a `predict` input that is empty or
+not UTF-8), 4 training failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import fcntl
 import json
 import logging
 import os
@@ -36,49 +40,27 @@ from .embedder import (embed_chunks, export_chunk_embeddings, load_chunk_embeddi
                        load_pvdm, save_pvdm)
 from .errors import ConfigError, DataError, TrainingError
 from .evaluation import export_embeddings
-from .pipeline import TrainedPipeline, evaluate, mean_chunk_vectors, train_pipeline
+from .pipeline import HEADS, TrainedPipeline, evaluate, mean_chunk_vectors, train_pipeline
 from .svm import load_svm, save_svm
 from .sweep import DEFAULT_N_LIST, format_sweep_table, run_chunk_sweep, write_sweep_tsv
 
 logger = logging.getLogger(__name__)
 
-HEADS = {"linear": ["linear"], "svm": ["svm"], "both": ["linear", "svm"]}
-
-
-def _holder_is_dead(lock: Path) -> bool:
-    """True only when `lock` holds a positive pid that names no process."""
-    try:
-        pid = int(lock.read_text(encoding="ascii"))
-        if pid > 0:
-            os.kill(pid, 0)  # signal 0 only probes whether the process exists
-    except (OSError, ValueError, OverflowError) as exc:
-        return isinstance(exc, ProcessLookupError)
-    return False
-
 
 @contextmanager
 def run_lock(run_dir: Path):
-    """Advisory lock: two commands must not write the same run directory. A lock
-    left by a dead command is removed and taken once more; losing that race fails."""
+    """Exclusive `flock` on the run directory, so two commands never write it at once.
+    The kernel drops it when the descriptor closes or the process ends; no file is written."""
     run_dir.mkdir(parents=True, exist_ok=True)
-    lock = run_dir / ".lock"
-    for attempt in range(2):
-        try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            break
-        except FileExistsError:
-            if attempt or not _holder_is_dead(lock):
-                raise ConfigError(
-                    f"run directory {run_dir} is locked by another command "
-                    f"(remove {lock} if that command is gone)"
-                ) from None
-            lock.unlink(missing_ok=True)
+    fd = os.open(run_dir, os.O_RDONLY)
     try:
-        os.write(fd, f"{os.getpid()}\n".encode())
-        os.close(fd)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise ConfigError(f"run directory {run_dir} is locked by another command") from None
         yield
     finally:
-        lock.unlink(missing_ok=True)
+        os.close(fd)
 
 
 def _resolved_config(args) -> PipelineConfig:
@@ -131,6 +113,8 @@ def cmd_train(args) -> int:
         corpus, split = _load_prepared(config)
         marker = run_dir / "INCOMPLETE"
         marker.write_text("training in progress\n", encoding="utf-8")
+        for stale in [run_dir / "svm.bin", *run_dir.glob("eval_*")]:  # no earlier head or report
+            stale.unlink(missing_ok=True)
         pipe = train_pipeline(
             corpus, split, config.settings(),
             n_chunks=config.chunking.n_chunks,
@@ -147,8 +131,6 @@ def cmd_train(args) -> int:
         export_embeddings(pipe.doc_vectors, doc_labels, run_dir / "embeddings_bilstm.tsv")
         if pipe.svm is not None:
             save_svm(pipe.svm, run_dir / "svm.bin")
-        else:
-            (run_dir / "svm.bin").unlink(missing_ok=True)
         marker.unlink()
         best = max(pipe.train_log, key=lambda r: r["val_f1"])
         print(f"trained {config.chunking.n_chunks}-chunk model: "
@@ -256,11 +238,10 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"--n values must be >= 1, got {args.n!r}")
     else:
         n_list = list(DEFAULT_N_LIST)
-    classifiers = HEADS[config.classifier]
     with run_lock(run_dir):
         _write_resolved(config)
         corpus, split = _load_prepared(config)
-        rows = run_chunk_sweep(corpus, split, n_list, classifiers,
+        rows = run_chunk_sweep(corpus, split, n_list, HEADS[config.classifier],
                                config.sweep_seeds(), config.settings())
         write_sweep_tsv(rows, run_dir / "sweep.tsv")
         print(format_sweep_table(rows))
@@ -280,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", default=None, help="override output_dir")
     common.add_argument("--seed", type=int, default=None,
                         help="override the split and training seeds")
-    common.add_argument("--classifier", choices=["linear", "svm", "both"], default=None,
+    common.add_argument("--classifier", choices=list(HEADS), default=None,
                         help="override the classifier head selection")
     common.add_argument("-v", "--verbose", action="store_true", help="info-level logging")
 

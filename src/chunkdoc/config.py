@@ -19,7 +19,7 @@ from .chunker import ChunkingConfig
 from .corpus import DEFAULT_HEADER_LABELS, LabelSet
 from .embedder import EmbedderConfig
 from .errors import ConfigError
-from .pipeline import PipelineSettings
+from .pipeline import HEADS, PipelineSettings
 from .svm import SVMConfig
 
 
@@ -43,7 +43,7 @@ class PipelineConfig:
     embedder: EmbedderConfig = field(default_factory=EmbedderConfig)
     aggregator: AggregatorConfig = field(default_factory=AggregatorConfig)
     svm: SVMConfig = field(default_factory=SVMConfig)
-    classifier: str = "linear"  # linear | svm | both
+    classifier: str = "linear"  # a key of pipeline.HEADS
     output_dir: str = "runs"
     run_name: str = "run"
 
@@ -123,8 +123,8 @@ def validate_config(config: PipelineConfig) -> None:
         if value <= 0:
             raise ConfigError(f"{name} must be positive, got {value}")
 
-    if config.classifier not in ("linear", "svm", "both"):
-        raise ConfigError(f"classifier must be linear|svm|both, got {config.classifier!r}")
+    if config.classifier not in HEADS:
+        raise ConfigError(f"classifier must be {'|'.join(HEADS)}, got {config.classifier!r}")
     if len(config.corpus.labels) < 2:
         raise ConfigError("corpus.labels needs at least 2 labels")
     e = config.embedder

@@ -12,15 +12,18 @@ from .corpus import LabelSet
 from .errors import DataError
 
 
+def _count(pred_idx, gold_idx, n_classes: int) -> np.ndarray:
+    counts = np.zeros((n_classes, n_classes), dtype=np.int64)
+    np.add.at(counts, (np.asarray(gold_idx, np.intp), np.asarray(pred_idx, np.intp)), 1)
+    return counts
+
+
 def confusion_matrix(predictions, gold, label_set: LabelSet) -> np.ndarray:
     """counts[g][p] = number of documents with gold label g predicted as p."""
     if len(predictions) != len(gold):
         raise DataError("predictions and gold labels differ in length")
-    c = len(label_set)
-    counts = np.zeros((c, c), dtype=np.int64)
-    for pred, g in zip(predictions, gold):
-        counts[label_set.index(g), label_set.index(pred)] += 1
-    return counts
+    return _count([label_set.index(p) for p in predictions],
+                  [label_set.index(g) for g in gold], len(label_set))
 
 
 def _f1_from_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -37,9 +40,7 @@ def _f1_from_counts(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 def macro_f1(pred_idx, gold_idx, n_classes: int) -> float:
     """Unweighted mean of per-class F1 over integer label indices."""
-    counts = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(counts, (np.asarray(gold_idx), np.asarray(pred_idx)), 1)
-    _, _, f1 = _f1_from_counts(counts)
+    _, _, f1 = _f1_from_counts(_count(pred_idx, gold_idx, n_classes))
     return float(f1.mean())
 
 

@@ -24,6 +24,9 @@ from .svm import SVMConfig, SVMModel, train_multiclass_svm
 
 logger = logging.getLogger(__name__)
 
+# Each `classifier` setting and the heads it trains and scores.
+HEADS = {"linear": ("linear",), "svm": ("svm",), "both": ("linear", "svm")}
+
 
 @dataclass
 class PipelineSettings:
@@ -51,10 +54,10 @@ def train_pipeline(corpus: Corpus, split: DatasetSplit, settings: PipelineSettin
                    n_chunks: int, classifier: str, seed: int) -> TrainedPipeline:
     """Run the full training stack at one chunk count.
 
-    `classifier` is "linear", "svm", or "both"; the attention aggregator is
+    `classifier` is a key of HEADS; the attention aggregator is
     always trained (the SVM consumes its pooled document vectors).
     """
-    if classifier not in ("linear", "svm", "both"):
+    if classifier not in HEADS:
         raise DataError(f"unknown classifier {classifier!r}")
     sample = sample_embedding_training_docs(corpus, split, settings.embedder.per_class,
                                             seed=[seed, 0])
@@ -74,7 +77,7 @@ def train_pipeline(corpus: Corpus, split: DatasetSplit, settings: PipelineSettin
     )
     doc_vecs = document_vectors(aggregator, embeddings)
     svm_model = None
-    if classifier in ("svm", "both"):
+    if "svm" in HEADS[classifier]:
         train_x = np.stack([doc_vecs[i] for i in split.train])
         train_y = [corpus.get(i).label for i in split.train]
         svm_model = train_multiclass_svm(train_x, train_y, list(corpus.label_set), settings.svm)

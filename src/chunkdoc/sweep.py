@@ -10,7 +10,7 @@ from .checkpoint import atomic_write
 from .chunker import mean_words_per_chunk
 from .corpus import Corpus, DatasetSplit
 from .errors import DataError, TrainingError
-from .pipeline import PipelineSettings, evaluate, train_pipeline
+from .pipeline import HEADS, PipelineSettings, evaluate, train_pipeline
 
 logger = logging.getLogger(__name__)
 
@@ -50,7 +50,7 @@ def run_chunk_sweep(
     """
     classifiers = list(classifiers)
     for kind in classifiers:
-        if kind not in ("linear", "svm"):
+        if kind not in HEADS["both"]:
             raise ValueError(f"unknown classifier kind {kind!r}")
     want_svm = "svm" in classifiers
     rows: list[SweepRow] = []

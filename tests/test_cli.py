@@ -1,13 +1,17 @@
 import json
 import os
 import shutil
+import signal
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chunkdoc.cli import main
+import chunkdoc
+from chunkdoc.aggregator import load_aggregator
+from chunkdoc.cli import main, run_lock
 from helpers import CLI_LABELS as LABELS
 from helpers import make_cli_workspace
 
@@ -68,35 +72,54 @@ def test_unknown_config_key_exit_2(workspace, capsys):
     assert main(["prepare", "--config", str(config_path)]) == 2
 
 
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
 def test_lock_file_blocks_concurrent_use(workspace, capsys):
     _, config_path, _ = workspace
     run_dir = _run_dir(workspace)
-    run_dir.mkdir(parents=True)
-    (run_dir / ".lock").write_text(str(os.getpid()))
-    assert main(["prepare", "--config", str(config_path)]) == 2
-    assert "locked" in capsys.readouterr().err
+    with run_lock(run_dir):
+        for command in ("prepare", "train"):
+            before = _open_fds()
+            assert main([command, "--config", str(config_path)]) == 2
+            assert _open_fds() == before
+            assert "locked" in capsys.readouterr().err
+    before = _open_fds()
+    assert main(["prepare", "--config", str(config_path)]) == 0
+    assert _open_fds() == before
+    assert not (run_dir / ".lock").exists()
 
 
-@pytest.mark.parametrize("content", ["", "not a pid", "0", "-1", "99999999999999999999999"])
-def test_lock_without_a_dead_pid_blocks(workspace, capsys, content):
+def test_lock_of_a_finished_command_is_taken_over(workspace, capsys):
     _, config_path, _ = workspace
     run_dir = _run_dir(workspace)
-    run_dir.mkdir(parents=True)
-    (run_dir / ".lock").write_text(content)
-    assert main(["prepare", "--config", str(config_path)]) == 2
-    assert "locked" in capsys.readouterr().err
-    assert (run_dir / ".lock").read_text() == content
-
-
-def test_lock_of_a_finished_command_is_taken_over(workspace):
-    _, config_path, _ = workspace
-    run_dir = _run_dir(workspace)
-    run_dir.mkdir(parents=True)
-    finished = subprocess.Popen(["true"])
-    finished.wait()
-    (run_dir / ".lock").write_text(f"{finished.pid}\n")
+    holder = ("import sys, time\nfrom pathlib import Path\nfrom chunkdoc.cli import run_lock\n"
+              "with run_lock(Path(sys.argv[1])):\n"
+              "    print('held', flush=True)\n"
+              "    time.sleep(60)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(chunkdoc.__file__).parents[1])}
+    with subprocess.Popen([sys.executable, "-c", holder, str(run_dir)],
+                          stdout=subprocess.PIPE, text=True, env=env) as child:
+        try:
+            assert child.stdout.readline() == "held\n"
+            assert main(["prepare", "--config", str(config_path)]) == 2
+            assert "locked" in capsys.readouterr().err
+        finally:
+            child.kill()
+            child.wait()
+    assert child.returncode == -signal.SIGKILL
+    # the kernel released the killed holder's lock: no manual step is needed
     assert main(["prepare", "--config", str(config_path)]) == 0
     assert not (run_dir / ".lock").exists()
+
+
+def test_lock_file_of_an_older_version_is_ignored(workspace):
+    _, config_path, _ = workspace
+    run_dir = _run_dir(workspace)
+    run_dir.mkdir(parents=True)
+    (run_dir / ".lock").write_text(f"{os.getpid()}\n")
+    assert main(["prepare", "--config", str(config_path)]) == 0
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +154,21 @@ def test_train_linear_only_skips_svm(workspace, capsys):
     capsys.readouterr()
     assert main(["evaluate", "--config", str(config_path), "--classifier", "svm"]) == 2
     assert "train with --classifier svm" in capsys.readouterr().err
+
+
+def test_retrain_removes_reports_of_the_previous_model(workspace):
+    _, config_path, _ = workspace
+    run_dir = _run_dir(workspace)
+    assert main(["prepare", "--config", str(config_path)]) == 0
+    assert main(["train", "--config", str(config_path), "--classifier", "both"]) == 0
+    assert main(["evaluate", "--config", str(config_path), "--classifier", "both"]) == 0
+    assert len(list(run_dir.glob("eval_*"))) == 8
+    assert main(["train", "--config", str(config_path), "--chunks", "2"]) == 0
+    assert list(run_dir.glob("eval_*")) == []
+    assert main(["evaluate", "--config", str(config_path)]) == 0
+    assert sorted(p.name for p in run_dir.glob("eval_*")) == [
+        f"eval_{split}_linear.{ext}" for split in ("test", "validation") for ext in ("json", "txt")]
+    assert load_aggregator(run_dir / "aggregator.bin").n_chunks == 2
 
 
 def test_evaluate_all_emits_validation_and_test(trained, capsys):
