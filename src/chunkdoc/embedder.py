@@ -5,8 +5,10 @@ is then embedded by gradient steps on a fresh paragraph vector with the word
 matrices frozen. Training is lockstep SGD: every sample chunk takes its step
 at position i together, the batched form of the shared-parameter SGD of Le &
 Mikolov (2014) with negative sampling, each chunk on its own learning-rate
-schedule. Inference is vectorized across chunks the same way, which is exact
-because chunks share no trainable state at inference time.
+schedule. Inference is vectorized across chunks the same way: chunks share no
+trainable state at inference time, and each chunk's scores and update are its
+own BLAS products, of the same shapes in any batch, so a chunk's vector does
+not depend on the batch it was inferred in.
 """
 
 from __future__ import annotations
@@ -215,6 +217,7 @@ def _train_group(model: PVDMModel, rows: np.ndarray, ids_pad: np.ndarray, active
         l1 = (neighbours.sum(axis=1) + P) / (n_ctx + 1).astype(np.float32)[:, None]
         t = tgt[:, i]
         Wt = W_out[t]
+        # Not matmul as in _infer_batch: in float32 it changes the trained bits.
         fout = 1.0 / (1.0 + np.exp(-(Wt * l1[:, None, :]).sum(axis=2)))
         fouts[:, i] = fout
         g = (labels - fout) * gate[:, i]
@@ -296,11 +299,18 @@ def _infer_batch(
     """Per-position SGD on fresh paragraph vectors, vectorized across chunks.
 
     Chunks are independent at inference time (word matrices frozen), so
-    batching across them is exact; only elementwise ops and fixed-axis
-    reductions are used, making each row's result independent of how the
-    batch was grouped. With the word matrices frozen, each position's
-    context-word sum is fixed: it is computed once per batch, and targets
-    and gates once per step, so the position loop touches only `P`.
+    batching across them is exact. At each position a chunk's target scores
+    and its `P` update are batched matmuls: numpy runs one BLAS product per
+    row, (k + 1, dim) @ (dim, 1) and (1, k + 1) @ (k + 1, dim), whatever the
+    batch size, so a row's result does not depend on how the batch was
+    grouped or ordered. BLAS sums in another order than the
+    broadcast-multiply-and-sum loop the products replaced, so the float64
+    intermediates differ from that loop's in the last bits; the float32
+    vectors returned are bit-equal to its output on the tests' batches and
+    the benchmark workloads (the tests keep the loop as the reference).
+    With the word matrices frozen, each position's context-word sum is
+    fixed: it is computed once per batch, and targets and gates once per
+    step, so the position loop touches only `P`.
     """
     B = len(encoded_seqs)
     dim, window, k = model.dim, model.window, model.negative
@@ -344,11 +354,11 @@ def _infer_batch(
         tgt, gate = _targets_and_gate(ids_pad, negs, alphas, active)
         for i in range(Lmax):
             l1 = (ctx_sum[:, i] + P) * inv_denom[:, i, None]
-            Wt = W_out[tgt[:, i]]
-            scores = (Wt * l1[:, None, :]).sum(axis=2)
+            Wt = np.take(W_out, tgt[:, i], axis=0)
+            scores = np.matmul(Wt, l1[:, :, None])[:, :, 0]
             fout = 1.0 / (1.0 + np.exp(-scores))
             g = (labels[None, :] - fout) * gate[:, i]
-            P += (g[:, :, None] * Wt).sum(axis=1)
+            P += np.matmul(g[:, None, :], Wt)[:, 0]
     return P.astype(np.float32)
 
 

@@ -422,6 +422,54 @@ def test_infer_batch_bit_equal_to_reference_loop(two_topic_model, steps):
         expected = _reference_infer_batch(model, batch, steps, seeds, 0.025, 0.0001)
         assert np.array_equal(_infer_batch(model, batch, steps, seeds, 0.025, 0.0001), expected)
 
+
+# The long_docs benchmark workload's PV-DM shape: dim 64, 667-token chunks
+# (2000-token documents in 3 chunks), 6 inference steps.
+LONG_DOCS_CONFIG = EmbedderConfig(dim=64, window=5, epochs=3, negative=5, min_count=5)
+
+
+@pytest.fixture(scope="module")
+def long_docs_model():
+    spec = SyntheticSpec(n_classes=5, docs_per_class=1, doc_length=2000, filler_vocab_size=500,
+                         class_vocab_size=20, mode="global", signal_rate=0.5)
+    chunks = [c for doc in generate_synthetic_corpus(spec, seed=3) for c in chunk_document(doc, 3)]
+    vocab = build_vocab(chunks, LONG_DOCS_CONFIG.min_count)
+    model = train_pvdm(chunks, vocab, LONG_DOCS_CONFIG, seed=5)
+    return model, [vocab.encode(c.tokens) for c in chunks]
+
+
+def test_infer_batch_bit_equal_to_reference_loop_at_dim_64(long_docs_model):
+    from chunkdoc.embedder import _infer_batch
+
+    model, encoded = long_docs_model
+    long_ids = encoded[0]
+    assert len(long_ids) >= 660
+    short = encoded[1]
+    batch = [short[:1], short[:model.window - 1], long_ids, short[:2 * model.window + 3]]
+    seeds = [[9, b] for b in range(len(batch))]
+    expected = _reference_infer_batch(model, batch, 6, seeds, 0.025, 0.0001)
+    assert np.array_equal(_infer_batch(model, batch, 6, seeds, 0.025, 0.0001), expected)
+
+
+@given(st.lists(st.tuples(st.integers(0, 14), st.integers(0, 400), st.integers(1, 80)),
+                min_size=1, max_size=6),
+       st.integers(1, 3))
+@settings(max_examples=50, deadline=None)
+def test_infer_batch_rows_do_not_depend_on_the_batch(long_docs_model, spans, steps):
+    """Each row equals its chunk inferred alone, and its row in the reversed
+    batch: ragged chunks, some shorter than the window, at dim 64."""
+    from chunkdoc.embedder import _infer_batch
+
+    model, encoded = long_docs_model
+    batch = [encoded[c][start:start + length] for c, start, length in spans]
+    seeds = [[11, b] for b in range(len(batch))]
+    rows = _infer_batch(model, batch, steps, seeds, 0.025, 0.0001)
+    reversed_rows = _infer_batch(model, batch[::-1], steps, seeds[::-1], 0.025, 0.0001)
+    assert np.array_equal(rows, reversed_rows[::-1])
+    for ids, seed, row in zip(batch, seeds, rows):
+        assert np.array_equal(_infer_batch(model, [ids], steps, [seed], 0.025, 0.0001)[0], row)
+
+
 def test_infer_steps_zero_returns_seeded_init(two_topic_model):
     model, chunks = two_topic_model
     v1 = infer_vector(model, chunks[0].tokens, steps=0, seed=3)
