@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -133,7 +134,12 @@ def validate_config(config: PipelineConfig) -> None:
     for name in ("epochs", "infer_steps"):
         if getattr(e, name) < 0:
             raise ConfigError(f"embedder.{name} must be >= 0")
+    for name in ("alpha", "noise_exponent"):
+        if not math.isfinite(getattr(e, name)):
+            raise ConfigError(f"embedder.{name} must be finite, got {getattr(e, name)}")
     positive(e.alpha, "embedder.alpha")
+    if not 0.0 <= e.min_alpha <= e.alpha:
+        raise ConfigError(f"embedder.min_alpha must lie in [0, embedder.alpha], got {e.min_alpha}")
     a = config.aggregator
     for name in ("hidden_size", "batch_size", "epochs", "patience"):
         positive(getattr(a, name), f"aggregator.{name}")

@@ -56,7 +56,17 @@ class Vocabulary:
     """Word inventory plus the unigram noise distribution for negative draws.
 
     `words[i]` has index i and count `counts[i]`; `total_tokens` counts every
-    token seen, kept or not.
+    token seen, kept or not. Noise word i has probability proportional to
+    `counts[i] ** noise_exponent`; a draw maps a uniform u in [0, 1) to
+    `searchsorted(noise_cdf, u)`, the first i with u <= noise_cdf[i].
+
+    The mapping goes through a guide table (Chen & Asau, 1974): [0, 1) is cut
+    into 2^b equal buckets, 2^b >= 8 * V, and `noise_guide[j]` holds the
+    `searchsorted` answer shared by every u of bucket j, or -1 where a CDF
+    value falls inside the bucket and the answer varies. With a power-of-two
+    bucket count, u * 2^b and the edges j / 2^b are exact in float64, so
+    bucket j holds exactly the u with j <= u * 2^b < j + 1, and the table
+    answer equals `searchsorted`'s for every u.
     """
 
     def __init__(self, words: list[str], counts, min_count: int, noise_exponent: float,
@@ -67,10 +77,21 @@ class Vocabulary:
         self.min_count = int(min_count)
         self.noise_exponent = float(noise_exponent)
         self.total_tokens = int(total_tokens)
-        weights = self.counts.astype(np.float64) ** self.noise_exponent
-        self.noise_probs = weights / weights.sum()
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            weights = self.counts.astype(np.float64) ** self.noise_exponent
+        total = weights.sum()
+        if not (np.isfinite(total) and total > 0):
+            raise DataError(f"noise_exponent={self.noise_exponent} makes the noise weights "
+                            f"sum to {total}; the noise distribution is undefined")
+        self.noise_probs = weights / total
         self.noise_cdf = np.cumsum(self.noise_probs)
         self.noise_cdf[-1] = 1.0
+        # Edge j / 2^b has answer #{i : noise_cdf[i] < j / 2^b}, and
+        # noise_cdf[i] < j / 2^b exactly when j > floor(noise_cdf[i] * 2^b).
+        n_buckets = 1 << (8 * len(self.words) - 1).bit_length()
+        first_above = (self.noise_cdf * n_buckets).astype(np.int64) + 1
+        edges = np.cumsum(np.bincount(first_above, minlength=n_buckets + 1)[: n_buckets + 1])
+        self.noise_guide = np.where(edges[:-1] == edges[1:], edges[:-1], -1)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -82,8 +103,19 @@ class Vocabulary:
         """In-vocabulary token ids in document order; OOV tokens are dropped."""
         return np.array([self.index[t] for t in tokens if t in self.index], dtype=np.int64)
 
+    def noise_ids(self, u: np.ndarray) -> np.ndarray:
+        """`searchsorted(noise_cdf, u)` for u in [0, 1), as int64, by the guide
+        table: one lookup per u, and a `searchsorted` only for the u whose
+        bucket holds a CDF value, at most V of the 2^b >= 8 * V buckets."""
+        ids = self.noise_guide[(u * len(self.noise_guide)).astype(np.int64)]
+        varies = ids < 0
+        ids[varies] = np.searchsorted(self.noise_cdf, u[varies])
+        return ids
+
     def sample_noise(self, rng: np.random.Generator, shape) -> np.ndarray:
-        return np.searchsorted(self.noise_cdf, rng.random(shape)).astype(np.int64)
+        """Noise ids of `shape` from `rng.random(shape)`: the same ids, and the
+        same generator state after, as `searchsorted` on those draws."""
+        return self.noise_ids(rng.random(shape))
 
 
 def build_vocab(chunks: list[Chunk], min_count: int, noise_exponent: float = 0.75) -> Vocabulary:

@@ -72,6 +72,23 @@ def test_unknown_config_key_exit_2(workspace, capsys):
     assert main(["prepare", "--config", str(config_path)]) == 2
 
 
+def test_non_finite_noise_exponent_exit_2(workspace, capsys):
+    _, config_path, config = workspace
+    config["embedder"]["noise_exponent"] = float("nan")  # json writes NaN, and reads it back
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["prepare", "--config", str(config_path)]) == 2
+    assert "embedder.noise_exponent" in capsys.readouterr().err
+
+
+def test_overflowing_noise_distribution_exit_3(workspace, capsys):
+    _, config_path, config = workspace
+    config["embedder"]["noise_exponent"] = 200.0  # counts of 35 and up overflow float64
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["prepare", "--config", str(config_path)]) == 0
+    assert main(["train", "--config", str(config_path)]) == 3
+    assert "noise_exponent=200.0 makes the noise weights" in capsys.readouterr().err
+
+
 def _open_fds() -> int:
     return len(os.listdir("/proc/self/fd"))
 

@@ -135,6 +135,10 @@ def test_every_key_accepted_with_its_default(tmp_path):
     ("svm", "gamma", 0.0), ("svm", "gamma", -1.0), ("svm", "C", 0.0),
     ("svm", "tolerance", -1e-3), ("svm", "max_passes", 0), ("chunking", "n_chunks", -2),
     ("embedder", "per_class", 0), ("aggregator", "bn_momentum", 1.0),
+    ("embedder", "noise_exponent", float("nan")), ("embedder", "noise_exponent", float("inf")),
+    ("embedder", "alpha", float("nan")), ("embedder", "alpha", float("inf")),
+    ("embedder", "min_alpha", float("nan")), ("embedder", "min_alpha", -1e-4),
+    ("embedder", "min_alpha", 0.5),
 ])
 def test_bad_stage_value_is_config_error(tmp_path, section, key, value):
     data = _minimal(tmp_path)

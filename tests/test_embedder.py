@@ -66,6 +66,69 @@ def test_noise_sampling_deterministic():
     assert a.min() >= 0 and a.max() < len(vocab)
 
 
+def _vocab_of_counts(counts, noise_exponent=0.75):
+    return Vocabulary([f"w{i}" for i in range(len(counts))], counts, 1, noise_exponent,
+                      int(np.sum(counts)))
+
+
+def _searchsorted_ids(vocab, u):
+    """The sampler's oracle: the first i with u <= noise_cdf[i]."""
+    return np.searchsorted(vocab.noise_cdf, u).astype(np.int64)
+
+
+@pytest.mark.parametrize("noise_exponent", [200.0, float("nan"), float("inf"), -2000.0])
+def test_broken_noise_distribution_is_fatal(noise_exponent):
+    # 35 ** 200 overflows float64; 2 ** -2000 and 35 ** -2000 underflow to a zero sum
+    with pytest.raises(DataError, match="noise_exponent"):
+        _vocab_of_counts([40, 35, 2], noise_exponent)
+    with pytest.raises(DataError, match="noise_exponent"):
+        build_vocab(_chunks_from_texts(["a " * 40 + "b " * 35]), 1, noise_exponent)
+
+
+def _edge_cases(vocab) -> np.ndarray:
+    """Every bucket edge, every CDF value below 1, their float64 neighbours,
+    0.0 and the largest double below 1."""
+    n_buckets = len(vocab.noise_guide)
+    edges = np.arange(n_buckets) / n_buckets
+    points = np.concatenate((edges, vocab.noise_cdf, [0.0, np.nextafter(1.0, 0.0)]))
+    u = np.concatenate((points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)))
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+@given(st.integers(1, 2000), st.integers(0, 2**32 - 1), st.integers(0, 6),
+       st.floats(0.0, 1.5), st.sampled_from([(0,), (0, 5), (3, 0), (1,), (7, 5)]))
+@settings(max_examples=60, deadline=None)
+def test_noise_ids_equal_searchsorted(n_words, seed, log_max_count, noise_exponent, shape):
+    rng = np.random.default_rng(seed)
+    vocab = _vocab_of_counts(rng.integers(1, 10**log_max_count + 1, n_words), noise_exponent)
+    assert len(vocab.noise_guide) >= 8 * n_words
+    for u in (rng.random(shape), rng.random(4000), _edge_cases(vocab)):
+        ids = vocab.noise_ids(u)
+        assert ids.dtype == np.int64 and ids.shape == u.shape
+        assert np.array_equal(ids, _searchsorted_ids(vocab, u))
+
+
+def test_noise_ids_equal_searchsorted_at_every_edge():
+    zipfian = (10**6 // np.arange(1, 3001)) + 1
+    # 64 equal counts put every CDF value exactly on a bucket edge
+    for counts, noise_exponent in [(zipfian, 0.0), (zipfian, 0.75), (zipfian, 1.0),
+                                   (zipfian, 1.5), (np.full(64, 9), 0.75)]:
+        vocab = _vocab_of_counts(counts, noise_exponent)
+        guide = vocab.noise_guide
+        assert (guide >= 0).any() and (guide < 0).any()  # both paths are exercised
+        u = _edge_cases(vocab)
+        assert np.array_equal(vocab.noise_ids(u), _searchsorted_ids(vocab, u))
+
+
+def test_sample_noise_leaves_the_generator_where_the_oracle_does():
+    vocab = _vocab_of_counts((10**4 // np.arange(1, 600)) + 1)
+    rng, oracle_rng = np.random.default_rng(17), np.random.default_rng(17)
+    for shape in ((667, 5), (0, 5), (3,)):
+        ids = vocab.sample_noise(rng, shape)
+        assert np.array_equal(ids, _searchsorted_ids(vocab, oracle_rng.random(shape)))
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 def test_encode_drops_oov_preserves_order():
     vocab = build_vocab(_chunks_from_texts(["a a b b"]), min_count=2)
     ids = vocab.encode(["b", "zzz", "a", "b"])
@@ -556,6 +619,35 @@ def test_embed_corpus_matches_single_inference(two_topic_model):
                                   0.025, 0.0001)[0]
             batched = embs[doc.id][chunk.index - 1].vector
             assert np.array_equal(single, batched)
+
+
+def test_training_and_embedding_bit_equal_with_the_searchsorted_sampler():
+    """The guide-table sampler changes no trained or inferred bit: the loop
+    references above draw through `sample_noise` themselves, so only a run
+    against the plain `searchsorted` draw can see a sampler change."""
+    spec = SyntheticSpec(n_classes=2, docs_per_class=3, doc_length=300, filler_vocab_size=200,
+                         class_vocab_size=10, filler_concentration=0.3)
+    corpus = generate_synthetic_corpus(spec, seed=4)
+    chunks = [c for doc in corpus for c in chunk_document(doc, 3)]
+    config = EmbedderConfig(dim=16, window=3, epochs=2, negative=4, min_count=1)
+    vocab = build_vocab(chunks, config.min_count)
+    assert (vocab.noise_guide >= 0).any() and (vocab.noise_guide < 0).any()
+
+    def run():
+        model = train_pvdm(chunks, vocab, config, seed=8)
+        return model, embed_corpus(model, corpus, 3, steps=3, seed=2)
+
+    def oracle(self, rng, shape):
+        return _searchsorted_ids(self, rng.random(shape))
+
+    model, embs = run()
+    with mock.patch.object(Vocabulary, "sample_noise", oracle):
+        expected, expected_embs = run()
+    for name in ("W_in", "W_out", "P"):
+        assert np.array_equal(getattr(model, name), getattr(expected, name)), name
+    for doc_id, embeddings in embs.items():
+        for got, want in zip(embeddings, expected_embs[doc_id], strict=True):
+            assert np.array_equal(got.vector, want.vector)
 
 
 def test_embed_corpus_oov_chunk_zero_vector(two_topic_model, caplog):
