@@ -2,9 +2,10 @@
 
 The chunking, embedder, aggregator and svm sections are the stage configs
 themselves; `embedder.per_class` and `aggregator.seed`/`seeds` are the only
-keys that are not stage hyperparameters. Unknown keys are rejected so typos
-fail loudly; command-line flags override file values. The resolved
-configuration is written into each run directory for provenance.
+keys that are not stage hyperparameters. Unknown keys and values of the
+wrong JSON type are rejected so typos fail loudly; command-line flags
+override file values. The resolved configuration is written into each run
+directory for provenance.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -70,6 +73,34 @@ class PipelineConfig:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
+def _is_json_type(value, want) -> bool:
+    """Whether a parsed JSON value has the declared type: an `int` field
+    takes an integer, a `float` field any number, and neither takes a bool."""
+    if want is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if want is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if want is str:
+        return isinstance(value, str)
+    if want is type(None):
+        return value is None
+    origin, args = typing.get_origin(want), typing.get_args(want)
+    if origin is list:
+        return isinstance(value, list) and all(_is_json_type(v, args[0]) for v in value)
+    if origin in (typing.Union, types.UnionType):
+        return any(_is_json_type(value, arg) for arg in args)
+    return True
+
+
+def _check_types(cls, data: dict, prefix: str) -> None:
+    """Reject a value of the wrong JSON type before any code compares it."""
+    for key, value in data.items():
+        want = _FIELD_TYPES[cls][key]
+        if not _is_json_type(value, want):
+            name = want.__name__ if isinstance(want, type) else str(want)
+            raise ConfigError(f"{prefix}{key} must be of type {name}, got {value!r}")
+
+
 def _build_section(cls, data, where: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected an object")
@@ -77,6 +108,7 @@ def _build_section(cls, data, where: str):
     unknown = sorted(set(data) - known)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
+    _check_types(cls, data, f"{where}.")
     try:
         return cls(**data)
     except ValueError as exc:  # a stage config's own range check
@@ -86,6 +118,8 @@ def _build_section(cls, data, where: str):
 _SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(PipelineConfig)
              if f.default_factory is not dataclasses.MISSING}
 _SCALARS = {f.name for f in dataclasses.fields(PipelineConfig)} - set(_SECTIONS)
+# Resolved once: `get_type_hints` compiles each string annotation per call.
+_FIELD_TYPES = {cls: typing.get_type_hints(cls) for cls in [*_SECTIONS.values(), PipelineConfig]}
 
 
 def parse_config(data: dict) -> PipelineConfig:
@@ -98,9 +132,9 @@ def parse_config(data: dict) -> PipelineConfig:
     for name, cls in _SECTIONS.items():
         if name in data:
             kwargs[name] = _build_section(cls, data[name], name)
-    for name in _SCALARS:
-        if name in data:
-            kwargs[name] = data[name]
+    scalars = {name: data[name] for name in _SCALARS if name in data}
+    _check_types(PipelineConfig, scalars, "")
+    kwargs.update(scalars)
     config = PipelineConfig(**kwargs)
     validate_config(config)
     return config

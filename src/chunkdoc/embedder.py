@@ -1,14 +1,22 @@
 """Paragraph-vector chunk embeddings (PV-DM with negative sampling).
 
 A small sample of documents trains the model; every chunk of every document
-is then embedded by gradient steps on a fresh paragraph vector with the word
-matrices frozen. Training is lockstep SGD: every sample chunk takes its step
-at position i together, the batched form of the shared-parameter SGD of Le &
+is then embedded by fitting a fresh paragraph vector with the word matrices
+frozen. Training is lockstep SGD: every sample chunk takes its step at
+position i together, the batched form of the shared-parameter SGD of Le &
 Mikolov (2014) with negative sampling, each chunk on its own learning-rate
-schedule. Inference is vectorized across chunks the same way: chunks share no
-trainable state at inference time, and each chunk's scores and update are its
-own BLAS products, of the same shapes in any batch, so a chunk's vector does
-not depend on the batch it was inferred in.
+schedule. Inference minimizes the same negative-sampling loss over the
+paragraph vector alone, plus a small ridge term. With the word matrices
+frozen that loss is convex in the vector, so a few Newton steps solve it to
+float64 precision. Chunks share no trainable state at inference time: a
+batch of chunks is solved together, each chunk's products being BLAS calls
+of its own shapes, so a chunk's vector does not depend on the batch it was
+inferred in.
+
+`alpha` and `min_alpha` set the learning-rate schedule of training only. The
+inference functions (`infer_vector`, `embed_chunks`, `embed_corpus`) still
+take them because `perfbench/replay.py` passes them; they go with that
+caller's rewrite (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -27,15 +35,26 @@ from .errors import DataError, OOVChunkError, TrainingError
 
 logger = logging.getLogger(__name__)
 
-# Memory budget for one inference batch, in B * (Lmax + 1) * dim f64 entries:
-# the size of the one table a batch builds, the window prefix sums that become
-# the context sums in place (32 MB at 4M entries).
-_INFER_BUDGET_ELEMS = 4_000_000
+# Memory budget for one inference batch, in f64 entries of the tables its
+# Newton solve keeps, counted per chunk of L tokens as L * (negative + 1)
+# targets (each per-target table has that many entries), at most
+# min(targets, V) distinct target rows of dim entries, and a dim * dim
+# Hessian (`_infer_groups`). About 6 per-target tables live at once, so a
+# batch stays within a few MB; larger batches ran no faster.
+_INFER_BUDGET_ELEMS = 250_000
 # Memory budget for one lockstep training group, in B * Lmax * (negative + 1)
 # entries: the size of each per-epoch table of the group (target ids, gates,
 # sigmoid outputs; the noise ids one column fewer), about 25 bytes an entry
 # over all of them, so about 50 MB at 2M entries.
 _TRAIN_BUDGET_ELEMS = 2_000_000
+# Inference: the ridge weight of the objective, and the cap on Newton steps.
+# Over 8-10 benchmark seeds per workload, ridge 0.1 kept every F1 at 1.0,
+# while 1 lowered the predict workload's linear F1 to 0.893 on 2 of 8 seeds.
+# After five steps, long_docs chunks (667 tokens, gradient norm about 27 at
+# the start) and the test corpora's chunks of 1 to 700 tokens have vectors
+# that more steps leave bit-identical; after four, some last bits differ.
+_RIDGE = 0.1
+_NEWTON_STEPS = 5
 
 
 @dataclass
@@ -48,7 +67,7 @@ class EmbedderConfig:
     alpha: float = 0.025
     min_alpha: float = 0.0001
     noise_exponent: float = 0.75
-    infer_steps: int = 50
+    infer_steps: int = 50  # Newton steps of inference, at most _NEWTON_STEPS are taken
     per_class: int = 30  # training-split documents per label sampled to train PV-DM
 
 
@@ -320,6 +339,30 @@ def _chunk_seed(base_seed: int, doc_id: str, index: int) -> list[int]:
     return [base_seed, zlib.crc32(doc_id.encode("utf-8")), index]
 
 
+def _chunk_terms(model: PVDMModel, ids: np.ndarray, rng: np.random.Generator,
+                 W_in: np.ndarray, W_out: np.ndarray):
+    """The parts of one chunk's inference objective that do not depend on P.
+
+    Returns the (L, k + 1) targets of its positions, the center word then k
+    noise words drawn from `rng`; each target's fixed score
+    `W_out[t] . ctx_i / n_i`, where `ctx_i` sums the position's context
+    words and `n_i` counts them plus one for the paragraph; and `1 / n_i`.
+    """
+    L, window = len(ids), model.window
+    tgt = np.concatenate((ids[:, None], model.vocab.sample_noise(rng, (L, model.negative))),
+                         axis=1)
+    words = W_in[ids]
+    ctx = np.zeros((L, model.dim))
+    for o in range(1, window + 1):
+        ctx[o:] += words[:-o]
+        ctx[:-o] += words[o:]
+    i = np.arange(L)
+    inv_n = 1.0 / (np.minimum(L, i + window + 1) - np.maximum(0, i - window))
+    fixed = np.matmul(W_out[tgt], ctx[:, :, None])[:, :, 0]
+    fixed *= inv_n[:, None]
+    return tgt, fixed, inv_n
+
+
 def _infer_batch(
     model: PVDMModel,
     encoded_seqs: list[np.ndarray],
@@ -328,75 +371,116 @@ def _infer_batch(
     alpha: float,
     min_alpha: float,
 ) -> np.ndarray:
-    """Per-position SGD on fresh paragraph vectors, vectorized across chunks.
+    """Paragraph vectors by a Newton solve of the frozen PV-DM objective.
 
-    Chunks are independent at inference time (word matrices frozen), so
-    batching across them is exact. At each position a chunk's target scores
-    and its `P` update are batched matmuls: numpy runs one BLAS product per
-    row, (k + 1, dim) @ (dim, 1) and (1, k + 1) @ (k + 1, dim), whatever the
-    batch size, so a row's result does not depend on how the batch was
-    grouped or ordered. BLAS sums in another order than the
-    broadcast-multiply-and-sum loop the products replaced, so the float64
-    intermediates differ from that loop's in the last bits; the float32
-    vectors returned are bit-equal to its output on the tests' batches and
-    the benchmark workloads (the tests keep the loop as the reference).
-    With the word matrices frozen, each position's context-word sum is
-    fixed: it is computed once per batch, and targets and gates once per
-    step, so the position loop touches only `P`.
+    Chunk b's vector P minimizes its negative-sampling loss with the word
+    matrices frozen, plus `_RIDGE / 2 * |P|^2`. The loss sums, over the
+    positions i and their targets t (the center word, label 1, then k noise
+    words, label 0; a noise word equal to the center is skipped), the log
+    loss of `sigmoid(W_out[t] . (ctx_i + P) / n_i)`; it is convex in P.
+    Each chunk draws its start, uniform in +-0.5/dim, then one (L, k) noise
+    set from its own stream `seeds[b]`, and takes
+    `min(steps, _NEWTON_STEPS)` Newton steps: 0 steps return the start, and
+    any count from the cap up returns the converged vector.
+
+    A target's score is its fixed part (`_chunk_terms`) plus
+    `W_out[t] . P / n_i`, so the gradient and Hessian sum over the chunk's
+    distinct targets u: `sum_u c_u W_out[u] + _RIDGE P` and
+    `sum_u h_u W_out[u] W_out[u]^T + _RIDGE I`, with `c_u` and `h_u` the
+    bincounts of `(sigmoid - label) / n_i` and
+    `sigmoid * (1 - sigmoid) / n_i^2` over the targets equal to u.
+
+    The batch's per-target tables are flat, chunk after chunk, with one
+    bincount bin per (chunk, distinct target), and each chunk's products
+    are BLAS calls of shapes set by that chunk alone, so a row does not
+    depend on the batch it was inferred in. The Hessian only scales the
+    step: the solve converges to where the float64 gradient vanishes, so
+    the Hessian is built in float32, at half the cost, and no converged
+    bit changes.
+
+    `alpha` and `min_alpha` set the SGD schedule of training only; the
+    solve does not read them.
     """
-    B = len(encoded_seqs)
-    dim, window, k = model.dim, model.window, model.negative
-    lengths, ids_pad, active = _pad(encoded_seqs)
-    if (lengths == 0).any():
+    dim = model.dim
+    if any(len(ids) == 0 for ids in encoded_seqs):
         raise OOVChunkError("chunk has no in-vocabulary tokens")
     rngs = [np.random.default_rng(s) for s in seeds]
     bound = 0.5 / dim
     P = np.stack([rng.uniform(-bound, bound, dim) for rng in rngs])
-    if steps <= 0:
+    n_steps = min(steps, _NEWTON_STEPS)
+    if n_steps <= 0:
         return P.astype(np.float32)
 
-    Lmax = ids_pad.shape[1]
     W_in = model.W_in.astype(np.float64)
     W_out = model.W_out.astype(np.float64)
-
-    positions = np.arange(Lmax)
-    lo = np.maximum(0, positions - window)
-    hi = np.minimum(lengths[:, None], positions[None, :] + window + 1)
-    hi = np.maximum(hi, lo[None, :])
-    inv_denom = 1.0 / np.maximum(1, hi - lo[None, :] - 1 + 1)  # ctx words + paragraph
-    # Context-word sums csum[hi] - csum[lo] - center from each chunk's cumulative
-    # sums, written over that chunk's rows of the same table, so a batch holds
-    # one (B, Lmax + 1, dim) table; padded positions never update P.
-    csum = np.zeros((B, Lmax + 1, dim), dtype=np.float64)
-    for b in range(B):
-        words, c = W_in[ids_pad[b]], csum[b]
-        np.cumsum(words, axis=0, out=c[1:])
-        c[:Lmax] = c[hi[b]] - c[lo] - words
-    ctx_sum = csum[:, :Lmax]
-
-    labels = np.zeros(k + 1, dtype=np.float64)
-    labels[0] = 1.0
-    span = alpha - min_alpha
-    per_seq_total = (steps * lengths).astype(np.float64)
-    for step in range(steps):
-        negs = np.zeros((B, Lmax, k), dtype=np.int64)
-        for b in range(B):
-            negs[b, : lengths[b]] = model.vocab.sample_noise(rngs[b], (int(lengths[b]), k))
-        alphas = alpha - span * ((step * lengths[:, None] + positions[None, :]) / per_seq_total[:, None])
-        tgt, gate = _targets_and_gate(ids_pad, negs, alphas, active)
-        for i in range(Lmax):
-            l1 = (ctx_sum[:, i] + P) * inv_denom[:, i, None]
-            Wt = np.take(W_out, tgt[:, i], axis=0)
-            scores = np.matmul(Wt, l1[:, :, None])[:, :, 0]
-            fout = 1.0 / (1.0 + np.exp(-scores))
-            g = (labels[None, :] - fout) * gate[:, i]
-            P += np.matmul(g[:, None, :], Wt)[:, 0]
+    seen = np.zeros(len(model.vocab), dtype=bool)
+    bin_of = np.zeros(len(model.vocab), dtype=np.int64)
+    # Bin 0 collects the skipped noise words; chunk b's distinct targets
+    # take the bins spans[b], in word order.
+    bins, fixed, inv_n, rows, rows32, spans = [], [], [], [], [], []
+    for ids, rng in zip(encoded_seqs, rngs):
+        tgt, a, n = _chunk_terms(model, ids, rng, W_in, W_out)
+        seen[tgt] = True  # the chunk's distinct targets in word order, without a sort
+        unique = np.flatnonzero(seen)
+        seen[unique] = False
+        start = spans[-1].stop if spans else 1
+        spans.append(slice(start, start + len(unique)))
+        bin_of[unique] = np.arange(start, spans[-1].stop)
+        chunk_bins = bin_of[tgt]
+        chunk_bins[:, 1:][tgt[:, 1:] == ids[:, None]] = 0
+        bins.append(chunk_bins)
+        fixed.append(a)
+        inv_n.append(n)
+        rows.append(W_out[unique])
+        rows32.append(model.W_out[unique])
+    bins, fixed = np.concatenate(bins), np.concatenate(fixed)
+    inv_n = np.concatenate(inv_n)[:, None]
+    inv_n2 = inv_n * inv_n
+    flat_bins, n_bins = bins.ravel(), spans[-1].stop
+    proj = np.zeros(n_bins)
+    grad = np.empty_like(P)
+    hess = np.empty((len(P), dim, dim))
+    diag = np.arange(dim)
+    for _ in range(n_steps):
+        for r, p, s in zip(rows, P, spans):
+            np.matmul(r, p, out=proj[s])
+        sig = 1.0 / (1.0 + np.exp(-(proj[bins] * inv_n + fixed)))
+        res = sig * inv_n
+        res[:, 0] -= inv_n[:, 0]  # the center word's label is 1
+        c = np.bincount(flat_bins, res.ravel(), minlength=n_bins)
+        h = np.bincount(flat_bins, (sig * (1.0 - sig) * inv_n2).ravel(), minlength=n_bins)
+        root_h = np.sqrt(h).astype(np.float32)
+        for b, (r, r32, s) in enumerate(zip(rows, rows32, spans)):
+            np.matmul(c[s], r, out=grad[b])
+            G = r32 * root_h[s, None]
+            np.matmul(G.T, G, out=hess[b])  # G.T @ G runs as one syrk
+        grad += _RIDGE * P
+        hess[:, diag, diag] += _RIDGE
+        P -= np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
     return P.astype(np.float32)
+
+
+def _infer_groups(model: PVDMModel, pending: list[tuple[int, np.ndarray]]) -> list[list]:
+    """Split `pending` (position, token ids) into consecutive runs whose solve
+    tables fit `_INFER_BUDGET_ELEMS`; a chunk over the budget runs alone."""
+    dim, targets_per_position = model.dim, model.negative + 1
+    groups, cells = [], 0
+    for item in pending:
+        targets = len(item[1]) * targets_per_position
+        need = targets + min(targets, len(model.vocab)) * dim + dim * dim
+        if not groups or cells + need > _INFER_BUDGET_ELEMS:
+            groups.append([])
+            cells = 0
+        groups[-1].append(item)
+        cells += need
+    return groups
 
 
 def infer_vector(model: PVDMModel, tokens, steps: int, seed, alpha: float = 0.025,
                  min_alpha: float = 0.0001) -> np.ndarray:
-    """Embed one token sequence; deterministic for a given (model, tokens, steps, seed)."""
+    """Embed one token sequence by the Newton solve of `_infer_batch`;
+    deterministic for a given (model, tokens, steps, seed). `alpha` and
+    `min_alpha` are not read (see the module docstring)."""
     ids = model.vocab.encode(tokens)
     if ids.size == 0:
         raise OOVChunkError("no in-vocabulary tokens to infer from")
@@ -421,9 +505,11 @@ def embed_chunks(
     """Embed `chunks`, returning one embedding per chunk in input order.
 
     Chunks with no in-vocabulary tokens get the zero vector and a logged
-    warning. The rest are inferred in batches of similar length; each chunk
-    draws from its own seeded stream keyed on (seed, doc_id, index), so its
-    vector does not depend on the other chunks or on how they were batched.
+    warning. The rest are solved (`_infer_batch`) in batches of consecutive
+    chunks under `_INFER_BUDGET_ELEMS`; each chunk draws from its own seeded
+    stream keyed on (seed, doc_id, index), so its vector does not depend on
+    the other chunks or on how they were batched. `alpha` and `min_alpha`
+    are not read (see the module docstring).
     """
     out: list[ChunkEmbedding | None] = [None] * len(chunks)
     pending: list[tuple[int, np.ndarray]] = []
@@ -439,9 +525,7 @@ def embed_chunks(
     if len(pending) < len(chunks):
         logger.warning("%d chunks had no in-vocabulary tokens", len(chunks) - len(pending))
 
-    lengths = np.array([len(ids) for _, ids in pending], dtype=np.int64)
-    for group in _length_groups(lengths + 1, _INFER_BUDGET_ELEMS // model.dim):
-        batch = [pending[j] for j in group]
+    for batch in _infer_groups(model, pending):
         keys = [chunks[pos].key for pos, _ in batch]
         seeds = [_chunk_seed(seed, doc_id, index) for doc_id, index in keys]
         vectors = _infer_batch(model, [ids for _, ids in batch], steps, seeds, alpha, min_alpha)
@@ -459,8 +543,9 @@ def embed_corpus(
     alpha: float = 0.025,
     min_alpha: float = 0.0001,
 ) -> dict[str, list[ChunkEmbedding]]:
-    """Embed every chunk of every document, ordered by chunk index (see
-    `embed_chunks`), so results do not depend on corpus composition."""
+    """Embed every chunk of every document by the Newton solve, ordered by
+    chunk index (see `embed_chunks`), so results do not depend on corpus
+    composition. `alpha` and `min_alpha` are not read."""
     chunks = [c for doc in corpus for c in chunk_document(doc, n_chunks)]
     out: dict[str, list[ChunkEmbedding]] = {doc.id: [] for doc in corpus}
     for emb in embed_chunks(model, chunks, steps, seed, alpha, min_alpha):

@@ -80,6 +80,14 @@ def test_non_finite_noise_exponent_exit_2(workspace, capsys):
     assert "embedder.noise_exponent" in capsys.readouterr().err
 
 
+def test_config_value_of_the_wrong_type_exit_2(workspace, capsys):
+    _, config_path, config = workspace
+    config["embedder"]["dim"] = "64"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["prepare", "--config", str(config_path)]) == 2
+    assert "embedder.dim must be of type int, got '64'" in capsys.readouterr().err
+
+
 def test_overflowing_noise_distribution_exit_3(workspace, capsys):
     _, config_path, config = workspace
     config["embedder"]["noise_exponent"] = 200.0  # counts of 35 and up overflow float64

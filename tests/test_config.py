@@ -80,6 +80,11 @@ def test_load_config_unreadable(tmp_path, monkeypatch, damage):
         load_config(path)
 
 
+def test_wrong_type_of_top_level_value_is_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="run_name"):
+        parse_config(_minimal(tmp_path, run_name=5))
+
+
 def test_roundtrip_through_json(tmp_path):
     config = parse_config(_minimal(tmp_path, classifier="both"))
     reparsed = parse_config(json.loads(config.to_json()))
@@ -139,6 +144,9 @@ def test_every_key_accepted_with_its_default(tmp_path):
     ("embedder", "alpha", float("nan")), ("embedder", "alpha", float("inf")),
     ("embedder", "min_alpha", float("nan")), ("embedder", "min_alpha", -1e-4),
     ("embedder", "min_alpha", 0.5),
+    ("embedder", "dim", "64"), ("embedder", "dim", 2.5), ("embedder", "infer_steps", 2.5),
+    ("chunking", "n_chunks", 2.5), ("embedder", "window", True), ("svm", "C", "1"),
+    ("svm", "gamma", True), ("aggregator", "seeds", [1, 2.0]), ("corpus", "labels", "ab"),
 ])
 def test_bad_stage_value_is_config_error(tmp_path, section, key, value):
     data = _minimal(tmp_path)
