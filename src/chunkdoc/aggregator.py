@@ -92,37 +92,28 @@ def lstm_direction_forward(Wx, Wh, b, x, mask, reverse: bool = False):
 
     Masked positions carry state through unchanged and emit zero output, so
     the reverse pass effectively starts at each sequence's last real step.
+    The cache holds the inputs, the weights and, in processing order, one
+    record `(t, i, f, g, o, tanh_c, h_prev, c_prev)` per step in
+    `cache["steps"]`: the step's gates, the tanh of its new cell state and
+    the state it started from, all (B, H).
     """
     B, T, _ = x.shape
     H = Wh.shape[1]
-    order = range(T - 1, -1, -1) if reverse else range(T)
     h_state = np.zeros((B, H))
     c_state = np.zeros((B, H))
     out = np.zeros((B, T, H))
-    cache = {
-        "i": np.zeros((B, T, H)), "f": np.zeros((B, T, H)),
-        "g": np.zeros((B, T, H)), "o": np.zeros((B, T, H)),
-        "tanh_c": np.zeros((B, T, H)),
-        "h_prev": np.zeros((B, T, H)), "c_prev": np.zeros((B, T, H)),
-        "x": x, "mask": mask, "order": list(order), "Wx": Wx, "Wh": Wh,
-    }
-    for t in cache["order"]:
+    cache = {"x": x, "mask": mask, "Wx": Wx, "Wh": Wh, "steps": []}
+    for t in range(T - 1, -1, -1) if reverse else range(T):
         m = mask[:, t][:, None]
         pre = x[:, t] @ Wx.T + h_state @ Wh.T + b
-        i_g = _sigmoid(pre[:, :H])
-        f_g = _sigmoid(pre[:, H : 2 * H])
+        gates = _sigmoid(pre)  # the g columns are unused: the cell input is a tanh
+        i_g, f_g, o_g = gates[:, :H], gates[:, H : 2 * H], gates[:, 3 * H :]
         g_g = np.tanh(pre[:, 2 * H : 3 * H])
-        o_g = _sigmoid(pre[:, 3 * H :])
         c_new = f_g * c_state + i_g * g_g
         tanh_c = np.tanh(c_new)
         h_new = o_g * tanh_c
-        cache["i"][:, t] = i_g
-        cache["f"][:, t] = f_g
-        cache["g"][:, t] = g_g
-        cache["o"][:, t] = o_g
-        cache["tanh_c"][:, t] = tanh_c
-        cache["h_prev"][:, t] = h_state
-        cache["c_prev"][:, t] = c_state
+        # no copies: the states are rebound below, never written in place
+        cache["steps"].append((t, i_g, f_g, g_g, o_g, tanh_c, h_state, c_state))
         h_state = np.where(m, h_new, h_state)
         c_state = np.where(m, c_new, c_state)
         out[:, t] = np.where(m, h_new, 0.0)
@@ -203,9 +194,7 @@ class ForwardTrace:
     hidden: np.ndarray        # (B, T, 2H)
     alpha: np.ndarray         # (B, T)
     doc_vectors: np.ndarray   # (B, 2H) pre-normalization pooled vectors
-    logits: np.ndarray        # (B, C)
     probs: np.ndarray         # (B, C)
-    mask: np.ndarray          # (B, T) bool
     caches: dict = field(repr=False, default_factory=dict)
     new_bn_mean: np.ndarray | None = None
     new_bn_var: np.ndarray | None = None
@@ -221,11 +210,9 @@ def forward_batch(params: dict, bn_mean, bn_var, bn_eps, bn_momentum, x, mask,
         doc_vec, params["bn.gamma"], params["bn.beta"], bn_mean, bn_var,
         bn_eps, bn_momentum, training,
     )
-    logits = normed @ params["head.W"].T + params["head.b"]
-    probs = softmax(logits)
+    probs = softmax(normed @ params["head.W"].T + params["head.b"])
     return ForwardTrace(
-        hidden=h, alpha=alpha, doc_vectors=doc_vec, logits=logits, probs=probs,
-        mask=mask,
+        hidden=h, alpha=alpha, doc_vectors=doc_vec, probs=probs,
         caches={"lstm": lstm_cache, "attn": attn_cache, "bn": bn_cache, "normed": normed},
         new_bn_mean=new_mean if training else None,
         new_bn_var=new_var if training else None,
@@ -236,8 +223,9 @@ def forward_batch(params: dict, bn_mean, bn_var, bn_eps, bn_momentum, x, mask,
 # backward passes
 
 def lstm_direction_backward(cache, dout):
-    """BPTT for one direction. `dout` is the gradient on the emitted outputs;
-    masked steps pass state gradients straight through (the carry path)."""
+    """BPTT for one direction, over the step records of `cache` in reverse.
+    `dout` is the gradient on the emitted outputs; masked steps pass state
+    gradients straight through (the carry path)."""
     x, mask = cache["x"], cache["mask"]
     Wx, Wh = cache["Wx"], cache["Wh"]
     B, T, E = x.shape
@@ -248,16 +236,8 @@ def lstm_direction_backward(cache, dout):
     dx = np.zeros_like(x)
     dh_carry = np.zeros((B, H))
     dc_carry = np.zeros((B, H))
-    for t in reversed(cache["order"]):
+    for t, i_g, f_g, g_g, o_g, tanh_c, h_prev, c_prev in reversed(cache["steps"]):
         m = mask[:, t][:, None]
-        i_g = cache["i"][:, t]
-        f_g = cache["f"][:, t]
-        g_g = cache["g"][:, t]
-        o_g = cache["o"][:, t]
-        tanh_c = cache["tanh_c"][:, t]
-        c_prev = cache["c_prev"][:, t]
-        h_prev = cache["h_prev"][:, t]
-
         dh_hat = np.where(m, dh_carry + dout[:, t], 0.0)
         dc_hat = np.where(m, dc_carry, 0.0)
         do = dh_hat * tanh_c

@@ -13,11 +13,16 @@ through the path `evaluate` scores: pooled document vector, then the linear
 head. `train` first removes the run's svm.bin and eval reports, so no head or
 report from an earlier run outlives a retrain.
 
-Exit codes: 0 success, 2 input/config error (including a run directory another
-command holds, an unreadable config, split.json or input file, a missing or
-unreadable checkpoint or chunk_embeddings.tsv, or a run left INCOMPLETE by an
-unfinished `train`), 3 data error (such as a `predict` input that is empty or
-not UTF-8), 4 training failure.
+Flags override the config file's values before it is checked, so a flag
+value out of range (`--seed -1`, `--chunks 0`) fails like a file value.
+
+Exit codes: 0 success, 2 input/config error (including a config value of the
+wrong type, NaN or infinite, or out of range, such as a negative seed, an
+`aggregator.batch_size` under 2 or a `run_name` of `.` or `..`; a run directory
+another command holds; an unreadable config, split.json or input file; a
+missing or unreadable checkpoint or chunk_embeddings.tsv; or a run left
+INCOMPLETE by an unfinished `train`), 3 data error (such as a `predict` input
+that is empty or not UTF-8), 4 training failure.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from pathlib import Path
 
 from .aggregator import document_vectors, load_aggregator, save_aggregator, write_training_log
 from .checkpoint import atomic_write
-from .chunker import ChunkingConfig, split_into_chunks
+from .chunker import split_into_chunks
 from .config import PipelineConfig, load_config
 from .corpus import DatasetSplit, corpus_stats, load_corpus, split_dataset, tokenize
 from .embedder import (embed_chunks, export_chunk_embeddings, load_chunk_embeddings,
@@ -64,19 +69,10 @@ def run_lock(run_dir: Path):
 
 
 def _resolved_config(args) -> PipelineConfig:
-    config = load_config(args.config)
-    if args.output is not None:
-        config.output_dir = args.output
-    if args.seed is not None:
-        config.split.seed = args.seed
-        config.aggregator.seed = args.seed
-    if getattr(args, "chunks", None) is not None:
-        if args.chunks < 1:
-            raise ConfigError(f"--chunks must be >= 1, got {args.chunks}")
-        config.chunking = ChunkingConfig(args.chunks)
-    if getattr(args, "classifier", None) is not None:
-        config.classifier = args.classifier
-    return config
+    """The config file with the command's flags applied, checked as one."""
+    flags = {"output_dir": args.output, "split.seed": args.seed, "aggregator.seed": args.seed,
+             "chunking.n_chunks": getattr(args, "chunks", None), "classifier": args.classifier}
+    return load_config(args.config, {k: v for k, v in flags.items() if v is not None})
 
 
 def _load_prepared(config: PipelineConfig):
@@ -216,8 +212,7 @@ def cmd_predict(args) -> int:
     if not tokens:
         raise DataError(f"document {input_path} is empty after preprocessing")
     chunks = split_into_chunks(tokens, aggregator.n_chunks, doc_id=input_path.stem)
-    e = config.embedder
-    embs = embed_chunks(pvdm, chunks, e.infer_steps, config.aggregator.seed, e.alpha, e.min_alpha)
+    embs = embed_chunks(pvdm, chunks, config.embedder.infer_steps, config.aggregator.seed)
     doc_vector = document_vectors(aggregator, {input_path.stem: embs})[input_path.stem]
     probs = aggregator.classify(doc_vector[None, :])[0]
     probabilities = {lab: float(p) for lab, p in zip(aggregator.labels, probs)}

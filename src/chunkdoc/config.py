@@ -2,10 +2,11 @@
 
 The chunking, embedder, aggregator and svm sections are the stage configs
 themselves; `embedder.per_class` and `aggregator.seed`/`seeds` are the only
-keys that are not stage hyperparameters. Unknown keys and values of the
-wrong JSON type are rejected so typos fail loudly; command-line flags
-override file values. The resolved configuration is written into each run
-directory for provenance.
+keys that are not stage hyperparameters. Unknown keys, values of the wrong
+JSON type (NaN and infinities are not JSON numbers) and values out of the
+range a stage needs are rejected so typos fail loudly. Command-line flags
+override file values before that one check. The resolved configuration is
+written into each run directory for provenance.
 """
 
 from __future__ import annotations
@@ -75,11 +76,14 @@ class PipelineConfig:
 
 def _is_json_type(value, want) -> bool:
     """Whether a parsed JSON value has the declared type: an `int` field
-    takes an integer, a `float` field any number, and neither takes a bool."""
+    takes an integer, a `float` field any finite number, and neither takes a
+    bool. Python's `json` reads `NaN` and `Infinity` as floats; they are
+    rejected here, once for every float field."""
     if want is int:
         return isinstance(value, int) and not isinstance(value, bool)
     if want is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
     if want is str:
         return isinstance(value, str)
     if want is type(None):
@@ -140,7 +144,9 @@ def parse_config(data: dict) -> PipelineConfig:
     return config
 
 
-def load_config(path) -> PipelineConfig:
+def load_config(path, overrides: dict | None = None) -> PipelineConfig:
+    """Parse and check a config file. `overrides` maps a top-level key or a
+    "section.key" name to a value that replaces the file's before the check."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -150,6 +156,13 @@ def load_config(path) -> PipelineConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    for name, value in (overrides or {}).items():
+        section, _, key = name.rpartition(".")
+        target = data
+        if section and isinstance(data, dict):
+            target = data.setdefault(section, {})
+        if isinstance(target, dict):  # else parse_config rejects the file's structure
+            target[key] = value
     return parse_config(data)
 
 
@@ -168,20 +181,23 @@ def validate_config(config: PipelineConfig) -> None:
     for name in ("epochs", "infer_steps"):
         if getattr(e, name) < 0:
             raise ConfigError(f"embedder.{name} must be >= 0")
-    for name in ("alpha", "noise_exponent"):
-        if not math.isfinite(getattr(e, name)):
-            raise ConfigError(f"embedder.{name} must be finite, got {getattr(e, name)}")
     positive(e.alpha, "embedder.alpha")
     if not 0.0 <= e.min_alpha <= e.alpha:
         raise ConfigError(f"embedder.min_alpha must lie in [0, embedder.alpha], got {e.min_alpha}")
     a = config.aggregator
-    for name in ("hidden_size", "batch_size", "epochs", "patience"):
+    for name in ("hidden_size", "epochs", "patience"):
         positive(getattr(a, name), f"aggregator.{name}")
+    if a.batch_size < 2:
+        raise ConfigError(f"aggregator.batch_size must be >= 2 (batch norm), got {a.batch_size}")
+    for name, seed in [("split.seed", config.split.seed), ("aggregator.seed", a.seed),
+                       *(("aggregator.seeds", s) for s in a.seeds)]:
+        if seed < 0:
+            raise ConfigError(f"{name} must be >= 0, got {seed}")
     if a.learning_rate < 0:
         raise ConfigError("aggregator.learning_rate must be >= 0")
     if not 0.0 <= a.bn_momentum < 1.0:
         raise ConfigError("aggregator.bn_momentum must lie in [0, 1)")
     positive(a.bn_epsilon, "aggregator.bn_epsilon")
     positive(config.svm.max_passes, "svm.max_passes")
-    if not config.run_name or "/" in config.run_name:
+    if config.run_name in ("", ".", "..") or "/" in config.run_name:
         raise ConfigError(f"run_name must be a plain directory name, got {config.run_name!r}")

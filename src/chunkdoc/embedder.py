@@ -13,10 +13,7 @@ batch of chunks is solved together, each chunk's products being BLAS calls
 of its own shapes, so a chunk's vector does not depend on the batch it was
 inferred in.
 
-`alpha` and `min_alpha` set the learning-rate schedule of training only. The
-inference functions (`infer_vector`, `embed_chunks`, `embed_corpus`) still
-take them because `perfbench/replay.py` passes them; they go with that
-caller's rewrite (ROADMAP item 2).
+`alpha` and `min_alpha` set the learning-rate schedule of training only.
 """
 
 from __future__ import annotations
@@ -368,8 +365,6 @@ def _infer_batch(
     encoded_seqs: list[np.ndarray],
     steps: int,
     seeds: list,
-    alpha: float,
-    min_alpha: float,
 ) -> np.ndarray:
     """Paragraph vectors by a Newton solve of the frozen PV-DM objective.
 
@@ -397,9 +392,6 @@ def _infer_batch(
     step: the solve converges to where the float64 gradient vanishes, so
     the Hessian is built in float32, at half the cost, and no converged
     bit changes.
-
-    `alpha` and `min_alpha` set the SGD schedule of training only; the
-    solve does not read them.
     """
     dim = model.dim
     if any(len(ids) == 0 for ids in encoded_seqs):
@@ -479,12 +471,12 @@ def _infer_groups(model: PVDMModel, pending: list[tuple[int, np.ndarray]]) -> li
 def infer_vector(model: PVDMModel, tokens, steps: int, seed, alpha: float = 0.025,
                  min_alpha: float = 0.0001) -> np.ndarray:
     """Embed one token sequence by the Newton solve of `_infer_batch`;
-    deterministic for a given (model, tokens, steps, seed). `alpha` and
-    `min_alpha` are not read (see the module docstring)."""
+    deterministic for a given (model, tokens, steps, seed).
+    `alpha` and `min_alpha` are not read; perfbench/replay.py still passes them."""
     ids = model.vocab.encode(tokens)
     if ids.size == 0:
         raise OOVChunkError("no in-vocabulary tokens to infer from")
-    return _infer_batch(model, [ids], steps, [seed], alpha, min_alpha)[0]
+    return _infer_batch(model, [ids], steps, [seed])[0]
 
 
 @dataclass(frozen=True)
@@ -508,8 +500,8 @@ def embed_chunks(
     warning. The rest are solved (`_infer_batch`) in batches of consecutive
     chunks under `_INFER_BUDGET_ELEMS`; each chunk draws from its own seeded
     stream keyed on (seed, doc_id, index), so its vector does not depend on
-    the other chunks or on how they were batched. `alpha` and `min_alpha`
-    are not read (see the module docstring).
+    the other chunks or on how they were batched.
+    `alpha` and `min_alpha` are not read; perfbench/replay.py still passes them.
     """
     out: list[ChunkEmbedding | None] = [None] * len(chunks)
     pending: list[tuple[int, np.ndarray]] = []
@@ -528,7 +520,7 @@ def embed_chunks(
     for batch in _infer_groups(model, pending):
         keys = [chunks[pos].key for pos, _ in batch]
         seeds = [_chunk_seed(seed, doc_id, index) for doc_id, index in keys]
-        vectors = _infer_batch(model, [ids for _, ids in batch], steps, seeds, alpha, min_alpha)
+        vectors = _infer_batch(model, [ids for _, ids in batch], steps, seeds)
         for (pos, _), (doc_id, index), vec in zip(batch, keys, vectors):
             out[pos] = ChunkEmbedding(doc_id, index, vec)
     return out
@@ -545,10 +537,11 @@ def embed_corpus(
 ) -> dict[str, list[ChunkEmbedding]]:
     """Embed every chunk of every document by the Newton solve, ordered by
     chunk index (see `embed_chunks`), so results do not depend on corpus
-    composition. `alpha` and `min_alpha` are not read."""
+    composition.
+    `alpha` and `min_alpha` are not read; perfbench/replay.py still passes them."""
     chunks = [c for doc in corpus for c in chunk_document(doc, n_chunks)]
     out: dict[str, list[ChunkEmbedding]] = {doc.id: [] for doc in corpus}
-    for emb in embed_chunks(model, chunks, steps, seed, alpha, min_alpha):
+    for emb in embed_chunks(model, chunks, steps, seed):
         out[emb.doc_id].append(emb)
     return out
 

@@ -88,6 +88,13 @@ def test_config_value_of_the_wrong_type_exit_2(workspace, capsys):
     assert "embedder.dim must be of type int, got '64'" in capsys.readouterr().err
 
 
+def test_negative_seed_flag_exit_2(workspace, capsys):
+    _, config_path, _ = workspace
+    assert main(["prepare", "--config", str(config_path), "--seed", "-1"]) == 2
+    assert "split.seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not _run_dir(workspace).exists()
+
+
 def test_overflowing_noise_distribution_exit_3(workspace, capsys):
     _, config_path, config = workspace
     config["embedder"]["noise_exponent"] = 200.0  # counts of 35 and up overflow float64

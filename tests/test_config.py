@@ -85,6 +85,12 @@ def test_wrong_type_of_top_level_value_is_config_error(tmp_path):
         parse_config(_minimal(tmp_path, run_name=5))
 
 
+@pytest.mark.parametrize("run_name", ["..", "."])
+def test_run_name_outside_output_dir_is_config_error(tmp_path, run_name):
+    with pytest.raises(ConfigError, match="run_name"):
+        parse_config(_minimal(tmp_path, run_name=run_name))
+
+
 def test_roundtrip_through_json(tmp_path):
     config = parse_config(_minimal(tmp_path, classifier="both"))
     reparsed = parse_config(json.loads(config.to_json()))
@@ -147,6 +153,10 @@ def test_every_key_accepted_with_its_default(tmp_path):
     ("embedder", "dim", "64"), ("embedder", "dim", 2.5), ("embedder", "infer_steps", 2.5),
     ("chunking", "n_chunks", 2.5), ("embedder", "window", True), ("svm", "C", "1"),
     ("svm", "gamma", True), ("aggregator", "seeds", [1, 2.0]), ("corpus", "labels", "ab"),
+    ("svm", "C", float("nan")), ("svm", "gamma", float("nan")),
+    ("svm", "tolerance", float("nan")), ("aggregator", "learning_rate", float("inf")),
+    ("aggregator", "bn_epsilon", float("nan")), ("aggregator", "batch_size", 1),
+    ("aggregator", "seed", -1), ("aggregator", "seeds", [1, -1]), ("split", "seed", -3),
 ])
 def test_bad_stage_value_is_config_error(tmp_path, section, key, value):
     data = _minimal(tmp_path)

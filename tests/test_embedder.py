@@ -468,8 +468,8 @@ def test_solve_reaches_the_gradient_tolerance(long_docs_model):
     short = encoded[2]
     batch = [short[:1], short[:model.window - 1], long_ids, short[:2 * model.window + 3]]
     seeds = [[13, b] for b in range(len(batch))]
-    solved = _infer_batch(model, batch, 50, seeds, 0.025, 0.0001).astype(np.float64)
-    early = _infer_batch(model, batch, 2, seeds, 0.025, 0.0001).astype(np.float64)
+    solved = _infer_batch(model, batch, 50, seeds).astype(np.float64)
+    early = _infer_batch(model, batch, 2, seeds).astype(np.float64)
     for ids, seed, P, P_early in zip(batch, seeds, solved, early):
         grad, hess = _objective_gradient_and_hessian(model, ids, seed, P)
         tolerance = 2.0 * np.linalg.norm(hess, 2) * 2.0**-24 * np.linalg.norm(P)
@@ -485,7 +485,7 @@ from chunkdoc.embedder import _infer_batch, load_pvdm
 model = load_pvdm(sys.argv[1])
 with np.load(sys.argv[2]) as f:
     batch = [f[f"chunk{b}"] for b in range(len(f.files))]
-vectors = _infer_batch(model, batch, 50, [[17, b] for b in range(len(batch))], 0.025, 0.0001)
+vectors = _infer_batch(model, batch, 50, [[17, b] for b in range(len(batch))])
 sys.stdout.write(vectors.tobytes().hex())
 """
 
@@ -499,7 +499,7 @@ def test_vectors_do_not_depend_on_the_blas_thread_count(long_docs_model, tmp_pat
     batch = [encoded[0], encoded[1][:3], encoded[2][:40], encoded[3]]
     save_pvdm(model, tmp_path / "pvdm.bin")
     np.savez(tmp_path / "batch.npz", **{f"chunk{b}": ids for b, ids in enumerate(batch)})
-    expected = _infer_batch(model, batch, 50, [[17, b] for b in range(len(batch))], 0.025, 0.0001)
+    expected = _infer_batch(model, batch, 50, [[17, b] for b in range(len(batch))])
     src = Path(embedder.__file__).resolve().parents[1]
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
@@ -522,11 +522,11 @@ def test_infer_batch_rows_do_not_depend_on_the_batch(long_docs_model, spans, ste
     model, encoded = long_docs_model
     batch = [encoded[c][start:start + length] for c, start, length in spans]
     seeds = [[11, b] for b in range(len(batch))]
-    rows = _infer_batch(model, batch, steps, seeds, 0.025, 0.0001)
-    reversed_rows = _infer_batch(model, batch[::-1], steps, seeds[::-1], 0.025, 0.0001)
+    rows = _infer_batch(model, batch, steps, seeds)
+    reversed_rows = _infer_batch(model, batch[::-1], steps, seeds[::-1])
     assert np.array_equal(rows, reversed_rows[::-1])
     for ids, seed, row in zip(batch, seeds, rows):
-        assert np.array_equal(_infer_batch(model, [ids], steps, [seed], 0.025, 0.0001)[0], row)
+        assert np.array_equal(_infer_batch(model, [ids], steps, [seed])[0], row)
 
 
 def test_infer_steps_zero_returns_seeded_init(two_topic_model):
@@ -611,8 +611,7 @@ def test_embed_corpus_matches_single_inference(two_topic_model):
     for doc in corpus:
         for chunk in chunk_document(doc, 3):
             ids = model.vocab.encode(chunk.tokens)
-            single = _infer_batch(model, [ids], 4, [_chunk_seed(7, doc.id, chunk.index)],
-                                  0.025, 0.0001)[0]
+            single = _infer_batch(model, [ids], 4, [_chunk_seed(7, doc.id, chunk.index)])[0]
             batched = embs[doc.id][chunk.index - 1].vector
             assert np.array_equal(single, batched)
 
