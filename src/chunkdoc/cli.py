@@ -231,6 +231,8 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"--n expects a comma-separated integer list, got {args.n!r}")
         if not n_list or min(n_list) < 1:
             raise ConfigError(f"--n values must be >= 1, got {args.n!r}")
+        if len(set(n_list)) < len(n_list):
+            raise ConfigError(f"--n values must be distinct, got {args.n!r}")
     else:
         n_list = list(DEFAULT_N_LIST)
     with run_lock(run_dir):

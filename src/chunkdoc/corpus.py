@@ -137,8 +137,8 @@ def load_corpus(
 ) -> Corpus:
     """Load ``<root>/<label>/*.txt`` into a Corpus.
 
-    Documents whose token stream is empty after preprocessing are skipped;
-    one line per skipped file goes to stderr.
+    Documents whose file name is not UTF-8 or whose token stream is empty
+    after preprocessing are skipped; one line per skipped file goes to stderr.
     A label directory outside `label_set`, or a missing directory for a
     label in the set, is fatal. File order is lexicographic by path, so the
     same tree always loads into the same document order.
@@ -156,6 +156,11 @@ def load_corpus(
     documents: list[Document] = []
     for label in sorted(label_set):
         for path in sorted((root / label).glob("*.txt")):
+            try:
+                path.name.encode("utf-8")
+            except UnicodeEncodeError:  # its document id could not be written
+                print(f"skipped {path}: file name is not UTF-8", file=sys.stderr)
+                continue
             try:
                 raw = path.read_text(encoding="utf-8")
             except (OSError, UnicodeDecodeError) as exc:

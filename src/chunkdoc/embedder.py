@@ -8,10 +8,9 @@ Mikolov (2014) with negative sampling, each chunk on its own learning-rate
 schedule. Inference minimizes the same negative-sampling loss over the
 paragraph vector alone, plus a small ridge term. With the word matrices
 frozen that loss is convex in the vector, so a few Newton steps solve it to
-float64 precision. Chunks share no trainable state at inference time: a
-batch of chunks is solved together, each chunk's products being BLAS calls
-of its own shapes, so a chunk's vector does not depend on the batch it was
-inferred in.
+float64 precision. Chunks share no trainable state at inference time: each
+chunk is solved on its own, from its own seeded stream, so its vector does
+not depend on the other chunks.
 
 `alpha` and `min_alpha` set the learning-rate schedule of training only.
 """
@@ -32,13 +31,6 @@ from .errors import DataError, OOVChunkError, TrainingError
 
 logger = logging.getLogger(__name__)
 
-# Memory budget for one inference batch, in f64 entries of the tables its
-# Newton solve keeps, counted per chunk of L tokens as L * (negative + 1)
-# targets (each per-target table has that many entries), at most
-# min(targets, V) distinct target rows of dim entries, and a dim * dim
-# Hessian (`_infer_groups`). About 6 per-target tables live at once, so a
-# batch stays within a few MB; larger batches ran no faster.
-_INFER_BUDGET_ELEMS = 250_000
 # Memory budget for one lockstep training group, in B * Lmax * (negative + 1)
 # entries: the size of each per-epoch table of the group (target ids, gates,
 # sigmoid outputs; the noise ids one column fewer), about 25 bytes an entry
@@ -64,7 +56,7 @@ class EmbedderConfig:
     alpha: float = 0.025
     min_alpha: float = 0.0001
     noise_exponent: float = 0.75
-    infer_steps: int = 50  # Newton steps of inference, at most _NEWTON_STEPS are taken
+    infer_steps: int = 50  # Newton steps per chunk at inference, capped at _NEWTON_STEPS
     per_class: int = 30  # training-split documents per label sampled to train PV-DM
 
 
@@ -265,7 +257,7 @@ def _train_group(model: PVDMModel, rows: np.ndarray, ids_pad: np.ndarray, active
         l1 = (neighbours.sum(axis=1) + P) / (n_ctx + 1).astype(np.float32)[:, None]
         t = tgt[:, i]
         Wt = W_out[t]
-        # Not matmul as in _infer_batch: in float32 it changes the trained bits.
+        # Not matmul as in _infer_chunk: in float32 it changes the trained bits.
         fout = 1.0 / (1.0 + np.exp(-(Wt * l1[:, None, :]).sum(axis=2)))
         fouts[:, i] = fout
         g = (labels - fout) * gate[:, i]
@@ -333,7 +325,8 @@ def train_pvdm(
 
 
 def _chunk_seed(base_seed: int, doc_id: str, index: int) -> list[int]:
-    return [base_seed, zlib.crc32(doc_id.encode("utf-8")), index]
+    # surrogateescape: a file name that is not UTF-8 keeps its raw bytes
+    return [base_seed, zlib.crc32(doc_id.encode("utf-8", "surrogateescape")), index]
 
 
 def _chunk_terms(model: PVDMModel, ids: np.ndarray, rng: np.random.Generator,
@@ -360,123 +353,80 @@ def _chunk_terms(model: PVDMModel, ids: np.ndarray, rng: np.random.Generator,
     return tgt, fixed, inv_n
 
 
-def _infer_batch(
-    model: PVDMModel,
-    encoded_seqs: list[np.ndarray],
-    steps: int,
-    seeds: list,
-) -> np.ndarray:
-    """Paragraph vectors by a Newton solve of the frozen PV-DM objective.
+def _infer_chunk(model: PVDMModel, ids: np.ndarray, steps: int, seed,
+                 words: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """A chunk's paragraph vector by a Newton solve of the frozen PV-DM objective.
 
-    Chunk b's vector P minimizes its negative-sampling loss with the word
+    The vector P minimizes the chunk's negative-sampling loss with the word
     matrices frozen, plus `_RIDGE / 2 * |P|^2`. The loss sums, over the
     positions i and their targets t (the center word, label 1, then k noise
     words, label 0; a noise word equal to the center is skipped), the log
     loss of `sigmoid(W_out[t] . (ctx_i + P) / n_i)`; it is convex in P.
-    Each chunk draws its start, uniform in +-0.5/dim, then one (L, k) noise
-    set from its own stream `seeds[b]`, and takes
-    `min(steps, _NEWTON_STEPS)` Newton steps: 0 steps return the start, and
-    any count from the cap up returns the converged vector.
+    The chunk draws its start, uniform in +-0.5/dim, then one (L, k) noise
+    set from its own stream `seed`, and takes `min(steps, _NEWTON_STEPS)`
+    Newton steps: 0 steps return the start, and any count from the cap up
+    returns the converged vector. `words` is the float64 (W_in, W_out) pair,
+    copied from the model when not given.
 
     A target's score is its fixed part (`_chunk_terms`) plus
     `W_out[t] . P / n_i`, so the gradient and Hessian sum over the chunk's
     distinct targets u: `sum_u c_u W_out[u] + _RIDGE P` and
     `sum_u h_u W_out[u] W_out[u]^T + _RIDGE I`, with `c_u` and `h_u` the
     bincounts of `(sigmoid - label) / n_i` and
-    `sigmoid * (1 - sigmoid) / n_i^2` over the targets equal to u.
-
-    The batch's per-target tables are flat, chunk after chunk, with one
-    bincount bin per (chunk, distinct target), and each chunk's products
-    are BLAS calls of shapes set by that chunk alone, so a row does not
-    depend on the batch it was inferred in. The Hessian only scales the
-    step: the solve converges to where the float64 gradient vanishes, so
-    the Hessian is built in float32, at half the cost, and no converged
-    bit changes.
+    `sigmoid * (1 - sigmoid) / n_i^2` over the targets equal to u. The
+    Hessian only scales the step: the solve converges to where the float64
+    gradient vanishes, so the Hessian is built in float32, at half the
+    cost, and no converged bit changes.
     """
-    dim = model.dim
-    if any(len(ids) == 0 for ids in encoded_seqs):
-        raise OOVChunkError("chunk has no in-vocabulary tokens")
-    rngs = [np.random.default_rng(s) for s in seeds]
-    bound = 0.5 / dim
-    P = np.stack([rng.uniform(-bound, bound, dim) for rng in rngs])
+    rng = np.random.default_rng(seed)
+    bound = 0.5 / model.dim
+    P = rng.uniform(-bound, bound, model.dim)
     n_steps = min(steps, _NEWTON_STEPS)
     if n_steps <= 0:
         return P.astype(np.float32)
 
-    W_in = model.W_in.astype(np.float64)
-    W_out = model.W_out.astype(np.float64)
+    if words is None:
+        words = model.W_in.astype(np.float64), model.W_out.astype(np.float64)
+    tgt, fixed, inv_n = _chunk_terms(model, ids, rng, *words)
+    # The distinct targets take bins 1.. in word order, found without a
+    # sort; bin 0 collects the skipped noise words.
     seen = np.zeros(len(model.vocab), dtype=bool)
+    seen[tgt] = True
+    unique = np.flatnonzero(seen)
     bin_of = np.zeros(len(model.vocab), dtype=np.int64)
-    # Bin 0 collects the skipped noise words; chunk b's distinct targets
-    # take the bins spans[b], in word order.
-    bins, fixed, inv_n, rows, rows32, spans = [], [], [], [], [], []
-    for ids, rng in zip(encoded_seqs, rngs):
-        tgt, a, n = _chunk_terms(model, ids, rng, W_in, W_out)
-        seen[tgt] = True  # the chunk's distinct targets in word order, without a sort
-        unique = np.flatnonzero(seen)
-        seen[unique] = False
-        start = spans[-1].stop if spans else 1
-        spans.append(slice(start, start + len(unique)))
-        bin_of[unique] = np.arange(start, spans[-1].stop)
-        chunk_bins = bin_of[tgt]
-        chunk_bins[:, 1:][tgt[:, 1:] == ids[:, None]] = 0
-        bins.append(chunk_bins)
-        fixed.append(a)
-        inv_n.append(n)
-        rows.append(W_out[unique])
-        rows32.append(model.W_out[unique])
-    bins, fixed = np.concatenate(bins), np.concatenate(fixed)
-    inv_n = np.concatenate(inv_n)[:, None]
+    bin_of[unique] = np.arange(1, len(unique) + 1)
+    bins = bin_of[tgt]
+    bins[:, 1:][tgt[:, 1:] == ids[:, None]] = 0
+    flat = bins.ravel()
+    rows, rows32 = words[1][unique], model.W_out[unique]
+    inv_n = inv_n[:, None]
     inv_n2 = inv_n * inv_n
-    flat_bins, n_bins = bins.ravel(), spans[-1].stop
-    proj = np.zeros(n_bins)
-    grad = np.empty_like(P)
-    hess = np.empty((len(P), dim, dim))
-    diag = np.arange(dim)
+    label_n = np.zeros(tgt.shape)  # label / n_i: the center word's label is 1
+    label_n[:, 0] = inv_n[:, 0]
+    proj = np.zeros(len(unique) + 1)
+    hess = np.empty((model.dim, model.dim))
+    diag = hess.reshape(-1)[::model.dim + 1]  # a view: the ridge lands in hess
     for _ in range(n_steps):
-        for r, p, s in zip(rows, P, spans):
-            np.matmul(r, p, out=proj[s])
+        np.matmul(rows, P, out=proj[1:])
         sig = 1.0 / (1.0 + np.exp(-(proj[bins] * inv_n + fixed)))
-        res = sig * inv_n
-        res[:, 0] -= inv_n[:, 0]  # the center word's label is 1
-        c = np.bincount(flat_bins, res.ravel(), minlength=n_bins)
-        h = np.bincount(flat_bins, (sig * (1.0 - sig) * inv_n2).ravel(), minlength=n_bins)
-        root_h = np.sqrt(h).astype(np.float32)
-        for b, (r, r32, s) in enumerate(zip(rows, rows32, spans)):
-            np.matmul(c[s], r, out=grad[b])
-            G = r32 * root_h[s, None]
-            np.matmul(G.T, G, out=hess[b])  # G.T @ G runs as one syrk
-        grad += _RIDGE * P
-        hess[:, diag, diag] += _RIDGE
-        P -= np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+        c = np.bincount(flat, (sig * inv_n - label_n).ravel())
+        h = np.bincount(flat, (sig * (1.0 - sig) * inv_n2).ravel())
+        G = rows32 * np.sqrt(h[1:]).astype(np.float32)[:, None]
+        np.matmul(G.T, G, out=hess)  # G.T @ G runs as one syrk
+        diag += _RIDGE
+        P -= np.linalg.solve(hess, c[1:] @ rows + _RIDGE * P)
     return P.astype(np.float32)
-
-
-def _infer_groups(model: PVDMModel, pending: list[tuple[int, np.ndarray]]) -> list[list]:
-    """Split `pending` (position, token ids) into consecutive runs whose solve
-    tables fit `_INFER_BUDGET_ELEMS`; a chunk over the budget runs alone."""
-    dim, targets_per_position = model.dim, model.negative + 1
-    groups, cells = [], 0
-    for item in pending:
-        targets = len(item[1]) * targets_per_position
-        need = targets + min(targets, len(model.vocab)) * dim + dim * dim
-        if not groups or cells + need > _INFER_BUDGET_ELEMS:
-            groups.append([])
-            cells = 0
-        groups[-1].append(item)
-        cells += need
-    return groups
 
 
 def infer_vector(model: PVDMModel, tokens, steps: int, seed, alpha: float = 0.025,
                  min_alpha: float = 0.0001) -> np.ndarray:
-    """Embed one token sequence by the Newton solve of `_infer_batch`;
+    """Embed one token sequence by the Newton solve of `_infer_chunk`;
     deterministic for a given (model, tokens, steps, seed).
     `alpha` and `min_alpha` are not read; perfbench/replay.py still passes them."""
     ids = model.vocab.encode(tokens)
     if ids.size == 0:
         raise OOVChunkError("no in-vocabulary tokens to infer from")
-    return _infer_batch(model, [ids], steps, [seed])[0]
+    return _infer_chunk(model, ids, steps, seed)
 
 
 @dataclass(frozen=True)
@@ -497,32 +447,25 @@ def embed_chunks(
     """Embed `chunks`, returning one embedding per chunk in input order.
 
     Chunks with no in-vocabulary tokens get the zero vector and a logged
-    warning. The rest are solved (`_infer_batch`) in batches of consecutive
-    chunks under `_INFER_BUDGET_ELEMS`; each chunk draws from its own seeded
-    stream keyed on (seed, doc_id, index), so its vector does not depend on
-    the other chunks or on how they were batched.
+    warning. The rest are solved one at a time (`_infer_chunk`), each from
+    its own seeded stream keyed on (seed, doc_id, index), so a chunk's
+    vector does not depend on the other chunks or on their order.
     `alpha` and `min_alpha` are not read; perfbench/replay.py still passes them.
     """
-    out: list[ChunkEmbedding | None] = [None] * len(chunks)
-    pending: list[tuple[int, np.ndarray]] = []
-    for pos, chunk in enumerate(chunks):
+    words = model.W_in.astype(np.float64), model.W_out.astype(np.float64)
+    out, oov = [], 0
+    for chunk in chunks:
         ids = model.vocab.encode(chunk.tokens)
         if ids.size:
-            pending.append((pos, ids))
+            vector = _infer_chunk(model, ids, steps, _chunk_seed(seed, *chunk.key), words)
         else:
             logger.warning("chunk (%s, %d) is fully out-of-vocabulary; using zero vector",
                            chunk.doc_id, chunk.index)
-            out[pos] = ChunkEmbedding(chunk.doc_id, chunk.index,
-                                      np.zeros(model.dim, dtype=np.float32))
-    if len(pending) < len(chunks):
-        logger.warning("%d chunks had no in-vocabulary tokens", len(chunks) - len(pending))
-
-    for batch in _infer_groups(model, pending):
-        keys = [chunks[pos].key for pos, _ in batch]
-        seeds = [_chunk_seed(seed, doc_id, index) for doc_id, index in keys]
-        vectors = _infer_batch(model, [ids for _, ids in batch], steps, seeds)
-        for (pos, _), (doc_id, index), vec in zip(batch, keys, vectors):
-            out[pos] = ChunkEmbedding(doc_id, index, vec)
+            vector = np.zeros(model.dim, dtype=np.float32)
+            oov += 1
+        out.append(ChunkEmbedding(chunk.doc_id, chunk.index, vector))
+    if oov:
+        logger.warning("%d chunks had no in-vocabulary tokens", oov)
     return out
 
 

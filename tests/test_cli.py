@@ -256,6 +256,21 @@ def test_predict_oov_garbage_no_crash(trained, capsys):
     assert payload["label"] in LABELS
 
 
+def test_file_name_not_utf8_is_skipped_by_prepare_and_read_by_predict(workspace, capfd):
+    """A corpus file whose name is not UTF-8 is skipped, so `train` can
+    write every document id; `predict` reads such a file like any other."""
+    _, config_path, config = workspace
+    doc = Path(config["corpus"]["root"]) / "class1" / "doc0000.txt"
+    bad = doc.parent / os.fsdecode(b"bad\xffname.txt")
+    shutil.copy(doc, bad)
+    assert main(["prepare", "--config", str(config_path)]) == 0
+    assert "skipped" in capfd.readouterr().err
+    assert main(["train", "--config", str(config_path)]) == 0
+    assert main(["predict", "--config", str(config_path), str(bad)]) == 0
+    payload = json.loads(capfd.readouterr().out.strip().splitlines()[-1])
+    assert set(payload["probabilities"]) == set(LABELS)
+
+
 def test_predict_empty_document_exit_3(trained, capsys):
     tmp_path, config_path, _ = trained
     empty = tmp_path / "empty.txt"
@@ -306,6 +321,7 @@ def test_sweep_bad_n_exit_2(workspace, capsys):
     _, config_path, _ = workspace
     assert main(["prepare", "--config", str(config_path)]) == 0
     assert main(["sweep", "--config", str(config_path), "--n", "1,zebra"]) == 2
+    assert main(["sweep", "--config", str(config_path), "--n", "3,3"]) == 2
 
 
 def test_chunks_flag_overrides_config(workspace, monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -90,6 +91,16 @@ def test_load_skips_whitespace_only_file(corpus_dir, capsys):
     assert len(corpus) == 6
     err = capsys.readouterr().err
     assert err.count("skipped") == 1 and "blank.txt" in err
+
+
+def test_load_skips_file_name_not_utf8(corpus_dir, capfd):
+    """Its document id could not be written to chunk_embeddings.tsv."""
+    bad = corpus_dir / "alpha" / os.fsdecode(b"bad\xffname.txt")
+    bad.write_text("perfectly good words", encoding="utf-8")
+    corpus = load_corpus(corpus_dir, LabelSet(["alpha", "beta"]))
+    assert len(corpus) == 6
+    err = capfd.readouterr().err
+    assert err.count("skipped") == 1 and "name.txt: file name is not UTF-8" in err
 
 
 def test_load_order_is_deterministic(corpus_dir):

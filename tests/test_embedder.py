@@ -14,8 +14,8 @@ from chunkdoc import embedder
 from chunkdoc.chunker import Chunk, chunk_document
 from chunkdoc.corpus import Corpus, Document, LabelSet
 from chunkdoc.embedder import (EmbedderConfig, Vocabulary, build_vocab,
-                               embed_corpus, export_chunk_embeddings, infer_vector,
-                               load_chunk_embeddings, load_pvdm,
+                               embed_chunks, embed_corpus, export_chunk_embeddings,
+                               infer_vector, load_chunk_embeddings, load_pvdm,
                                sample_embedding_training_docs, save_pvdm, train_pvdm)
 from chunkdoc.corpus import split_dataset
 from chunkdoc.errors import DataError, OOVChunkError
@@ -459,17 +459,19 @@ def _objective_gradient_and_hessian(model, ids, seed, P):
 def test_solve_reaches_the_gradient_tolerance(long_docs_model):
     """At the returned vector the oracle gradient is as small as rounding P
     to float32 allows: |H| * 2^-24 * |P|, doubled for slack; after two steps
-    it is not yet. A ragged batch: one token, a chunk shorter than the
+    it is not yet. Ragged chunks: one token, a chunk shorter than the
     window, a 667-token chunk and a short one."""
-    from chunkdoc.embedder import _infer_batch
+    from chunkdoc.embedder import _infer_chunk
 
     model, encoded = long_docs_model
     long_ids = np.concatenate(encoded[:2])[:667]
     short = encoded[2]
     batch = [short[:1], short[:model.window - 1], long_ids, short[:2 * model.window + 3]]
     seeds = [[13, b] for b in range(len(batch))]
-    solved = _infer_batch(model, batch, 50, seeds).astype(np.float64)
-    early = _infer_batch(model, batch, 2, seeds).astype(np.float64)
+    solved = [_infer_chunk(model, ids, 50, seed).astype(np.float64)
+              for ids, seed in zip(batch, seeds)]
+    early = [_infer_chunk(model, ids, 2, seed).astype(np.float64)
+             for ids, seed in zip(batch, seeds)]
     for ids, seed, P, P_early in zip(batch, seeds, solved, early):
         grad, hess = _objective_gradient_and_hessian(model, ids, seed, P)
         tolerance = 2.0 * np.linalg.norm(hess, 2) * 2.0**-24 * np.linalg.norm(P)
@@ -481,11 +483,11 @@ def test_solve_reaches_the_gradient_tolerance(long_docs_model):
 _INFER_IN_A_CHILD = """
 import sys
 import numpy as np
-from chunkdoc.embedder import _infer_batch, load_pvdm
+from chunkdoc.embedder import _infer_chunk, load_pvdm
 model = load_pvdm(sys.argv[1])
 with np.load(sys.argv[2]) as f:
     batch = [f[f"chunk{b}"] for b in range(len(f.files))]
-vectors = _infer_batch(model, batch, 50, [[17, b] for b in range(len(batch))])
+vectors = np.stack([_infer_chunk(model, ids, 50, [17, b]) for b, ids in enumerate(batch)])
 sys.stdout.write(vectors.tobytes().hex())
 """
 
@@ -493,13 +495,13 @@ sys.stdout.write(vectors.tobytes().hex())
 def test_vectors_do_not_depend_on_the_blas_thread_count(long_docs_model, tmp_path):
     """The same bytes with one OpenBLAS thread and with two, and in this
     process: a threaded product must not reorder a sum."""
-    from chunkdoc.embedder import _infer_batch
+    from chunkdoc.embedder import _infer_chunk
 
     model, encoded = long_docs_model
     batch = [encoded[0], encoded[1][:3], encoded[2][:40], encoded[3]]
     save_pvdm(model, tmp_path / "pvdm.bin")
     np.savez(tmp_path / "batch.npz", **{f"chunk{b}": ids for b, ids in enumerate(batch)})
-    expected = _infer_batch(model, batch, 50, [[17, b] for b in range(len(batch))])
+    expected = np.stack([_infer_chunk(model, ids, 50, [17, b]) for b, ids in enumerate(batch)])
     src = Path(embedder.__file__).resolve().parents[1]
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
@@ -514,19 +516,22 @@ def test_vectors_do_not_depend_on_the_blas_thread_count(long_docs_model, tmp_pat
                 min_size=1, max_size=6),
        st.integers(1, 3))
 @settings(max_examples=50, deadline=None)
-def test_infer_batch_rows_do_not_depend_on_the_batch(long_docs_model, spans, steps):
-    """Each row equals its chunk inferred alone, and its row in the reversed
-    batch: ragged chunks, some shorter than the window, at dim 64."""
-    from chunkdoc.embedder import _infer_batch
+def test_embed_chunks_vectors_do_not_depend_on_the_other_chunks(long_docs_model, spans,
+                                                                steps):
+    """`embed_chunks` gives each chunk `infer_vector` on its tokens with its
+    `_chunk_seed`, with the chunks in order and reversed: ragged chunks,
+    some shorter than the window, at dim 64."""
+    from chunkdoc.embedder import _chunk_seed
 
     model, encoded = long_docs_model
-    batch = [encoded[c][start:start + length] for c, start, length in spans]
-    seeds = [[11, b] for b in range(len(batch))]
-    rows = _infer_batch(model, batch, steps, seeds)
-    reversed_rows = _infer_batch(model, batch[::-1], steps, seeds[::-1])
-    assert np.array_equal(rows, reversed_rows[::-1])
-    for ids, seed, row in zip(batch, seeds, rows):
-        assert np.array_equal(_infer_batch(model, [ids], steps, [seed])[0], row)
+    words = model.vocab.words
+    chunks = [Chunk(f"d/{b}", b + 1, tuple(words[i] for i in encoded[c][start:start + length]))
+              for b, (c, start, length) in enumerate(spans)]
+    for order in (chunks, chunks[::-1]):
+        for chunk, emb in zip(order, embed_chunks(model, order, steps, seed=11)):
+            assert (emb.doc_id, emb.index) == chunk.key
+            alone = infer_vector(model, chunk.tokens, steps, _chunk_seed(11, *chunk.key))
+            assert np.array_equal(emb.vector, alone)
 
 
 def test_infer_steps_zero_returns_seeded_init(two_topic_model):
@@ -602,8 +607,8 @@ def test_embed_corpus_counts(two_topic_model):
 
 
 def test_embed_corpus_matches_single_inference(two_topic_model):
-    """Batched inference must equal chunk-at-a-time inference bit for bit."""
-    from chunkdoc.embedder import _chunk_seed, _infer_batch
+    """`embed_corpus` gives each chunk its vector inferred alone, bit for bit."""
+    from chunkdoc.embedder import _chunk_seed, _infer_chunk
 
     model, _ = two_topic_model
     corpus = _tiny_corpus()
@@ -611,9 +616,9 @@ def test_embed_corpus_matches_single_inference(two_topic_model):
     for doc in corpus:
         for chunk in chunk_document(doc, 3):
             ids = model.vocab.encode(chunk.tokens)
-            single = _infer_batch(model, [ids], 4, [_chunk_seed(7, doc.id, chunk.index)])[0]
-            batched = embs[doc.id][chunk.index - 1].vector
-            assert np.array_equal(single, batched)
+            single = _infer_chunk(model, ids, 4, _chunk_seed(7, doc.id, chunk.index))
+            embedded = embs[doc.id][chunk.index - 1].vector
+            assert np.array_equal(single, embedded)
 
 
 def test_training_and_embedding_bit_equal_with_the_searchsorted_sampler():
