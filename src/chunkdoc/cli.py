@@ -18,11 +18,13 @@ value out of range (`--seed -1`, `--chunks 0`) fails like a file value.
 
 Exit codes: 0 success, 2 input/config error (including a config value of the
 wrong type, NaN or infinite, or out of range, such as a negative seed, an
-`aggregator.batch_size` under 2 or a `run_name` of `.` or `..`; a run directory
-another command holds; an unreadable config, split.json or input file; a
-missing or unreadable checkpoint or chunk_embeddings.tsv; or a run left
-INCOMPLETE by an unfinished `train`), 3 data error (such as a `predict` input
-that is empty or not UTF-8), 4 training failure.
+`aggregator.batch_size` under 2, a repeated `aggregator.seeds` value or a
+`run_name` of `.` or `..`; a run directory another command holds; an
+unreadable config, split.json or input file; a split.json that lists a
+document id twice; a missing or unreadable checkpoint, or one missing a field,
+or chunk_embeddings.tsv; or a run left INCOMPLETE by an unfinished `train`), 3
+data error (such as a `predict` input that is empty or not UTF-8), 4 training
+failure.
 """
 
 from __future__ import annotations
@@ -136,8 +138,9 @@ def cmd_train(args) -> int:
 
 
 def _checkpoint(load, path: Path, hint: str = "run `train` first"):
-    """Load one checkpoint of a finished run; a missing or unreadable file, or
-    an INCOMPLETE marker beside it, is a ConfigError (exit 2)."""
+    """Load one checkpoint of a finished run; a missing or unreadable file, one
+    missing a field its model needs, or an INCOMPLETE marker beside it, is a
+    ConfigError (exit 2)."""
     marker = path.parent / "INCOMPLETE"
     if marker.exists():
         raise ConfigError(f"{marker} exists: the last `train` did not finish; run `train` again")
@@ -147,6 +150,9 @@ def _checkpoint(load, path: Path, hint: str = "run `train` first"):
         return load(path)
     except OSError as exc:
         raise ConfigError(f"cannot read checkpoint: {exc}; run `train` again") from None
+    except (KeyError, TypeError, ValueError) as exc:  # a sound container, a bad or missing field
+        raise ConfigError(f"cannot read checkpoint {path}: bad or missing field {exc}; "
+                          "run `train` again") from None
 
 
 def _load_run(run_dir: Path, doc_ids: list[str], need_svm: bool) -> TrainedPipeline:

@@ -193,6 +193,8 @@ def validate_config(config: PipelineConfig) -> None:
                        *(("aggregator.seeds", s) for s in a.seeds)]:
         if seed < 0:
             raise ConfigError(f"{name} must be >= 0, got {seed}")
+    if len(set(a.seeds)) < len(a.seeds):
+        raise ConfigError(f"aggregator.seeds must be distinct, got {a.seeds}")
     if a.learning_rate < 0:
         raise ConfigError("aggregator.learning_rate must be >= 0")
     if not 0.0 <= a.bn_momentum < 1.0:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -137,8 +138,9 @@ def load_corpus(
 ) -> Corpus:
     """Load ``<root>/<label>/*.txt`` into a Corpus.
 
-    Documents whose file name is not UTF-8 or whose token stream is empty
-    after preprocessing are skipped; one line per skipped file goes to stderr.
+    Documents whose file name is not UTF-8, whose id (``label/stem``) holds a
+    tab or line break, or whose token stream is empty after preprocessing are
+    skipped; one line per skipped file goes to stderr.
     A label directory outside `label_set`, or a missing directory for a
     label in the set, is fatal. File order is lexicographic by path, so the
     same tree always loads into the same document order.
@@ -161,6 +163,11 @@ def load_corpus(
             except UnicodeEncodeError:  # its document id could not be written
                 print(f"skipped {path}: file name is not UTF-8", file=sys.stderr)
                 continue
+            doc_id = f"{label}/{path.stem}"
+            if any(c in doc_id for c in "\t\n\r"):  # it would split its TSV rows
+                print(f"skipped {str(path)!r}: document id holds a tab or line break",
+                      file=sys.stderr)
+                continue
             try:
                 raw = path.read_text(encoding="utf-8")
             except (OSError, UnicodeDecodeError) as exc:
@@ -170,9 +177,7 @@ def load_corpus(
             if not tokens:
                 print(f"skipped {path}: no tokens after preprocessing", file=sys.stderr)
                 continue
-            documents.append(
-                Document(id=f"{label}/{path.stem}", label=label, raw_text=raw, tokens=tuple(tokens))
-            )
+            documents.append(Document(id=doc_id, label=label, raw_text=raw, tokens=tuple(tokens)))
     documents.sort(key=lambda d: d.id)
     return Corpus(documents=documents, label_set=label_set)
 
@@ -200,8 +205,8 @@ class DatasetSplit:
 
     @classmethod
     def load(cls, path) -> "DatasetSplit":
-        """A missing or unreadable manifest, an empty split or a split id without
-        a label is a ConfigError."""
+        """A missing or unreadable manifest, an empty split, a split id without
+        a label or an id listed twice, in one split or in two, is a ConfigError."""
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
             split = cls(list(data["train"]), list(data["validation"]), list(data["test"]),
@@ -209,9 +214,13 @@ class DatasetSplit:
             for name in ("train", "validation", "test"):
                 if not getattr(split, name):
                     raise ValueError(f"the {name} split is empty")
-            for doc_id in split.train + split.validation + split.test:
+            ids = split.train + split.validation + split.test
+            for doc_id in ids:
                 if doc_id not in split.labels:
                     raise KeyError(f"no label for {doc_id}")
+            repeated = [i for i, k in Counter(ids).items() if k > 1]
+            if repeated:
+                raise ValueError(f"document id {repeated[0]} is listed twice")
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"cannot read split manifest {path}: {exc!r}; "
                               f"run `prepare` again") from None

@@ -10,7 +10,8 @@ paragraph vector alone, plus a small ridge term. With the word matrices
 frozen that loss is convex in the vector, so a few Newton steps solve it to
 float64 precision. Chunks share no trainable state at inference time: each
 chunk is solved on its own, from its own seeded stream, so its vector does
-not depend on the other chunks.
+not depend on the other chunks. A solve reads only the word rows its chunk
+uses, so its cost and memory follow the chunk, not the vocabulary.
 
 `alpha` and `min_alpha` set the learning-rate schedule of training only.
 """
@@ -329,48 +330,24 @@ def _chunk_seed(base_seed: int, doc_id: str, index: int) -> list[int]:
     return [base_seed, zlib.crc32(doc_id.encode("utf-8", "surrogateescape")), index]
 
 
-def _chunk_terms(model: PVDMModel, ids: np.ndarray, rng: np.random.Generator,
-                 W_in: np.ndarray, W_out: np.ndarray):
-    """The parts of one chunk's inference objective that do not depend on P.
-
-    Returns the (L, k + 1) targets of its positions, the center word then k
-    noise words drawn from `rng`; each target's fixed score
-    `W_out[t] . ctx_i / n_i`, where `ctx_i` sums the position's context
-    words and `n_i` counts them plus one for the paragraph; and `1 / n_i`.
-    """
-    L, window = len(ids), model.window
-    tgt = np.concatenate((ids[:, None], model.vocab.sample_noise(rng, (L, model.negative))),
-                         axis=1)
-    words = W_in[ids]
-    ctx = np.zeros((L, model.dim))
-    for o in range(1, window + 1):
-        ctx[o:] += words[:-o]
-        ctx[:-o] += words[o:]
-    i = np.arange(L)
-    inv_n = 1.0 / (np.minimum(L, i + window + 1) - np.maximum(0, i - window))
-    fixed = np.matmul(W_out[tgt], ctx[:, :, None])[:, :, 0]
-    fixed *= inv_n[:, None]
-    return tgt, fixed, inv_n
-
-
-def _infer_chunk(model: PVDMModel, ids: np.ndarray, steps: int, seed,
-                 words: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+def _infer_chunk(model: PVDMModel, ids: np.ndarray, steps: int, seed) -> np.ndarray:
     """A chunk's paragraph vector by a Newton solve of the frozen PV-DM objective.
 
     The vector P minimizes the chunk's negative-sampling loss with the word
     matrices frozen, plus `_RIDGE / 2 * |P|^2`. The loss sums, over the
     positions i and their targets t (the center word, label 1, then k noise
     words, label 0; a noise word equal to the center is skipped), the log
-    loss of `sigmoid(W_out[t] . (ctx_i + P) / n_i)`; it is convex in P.
-    The chunk draws its start, uniform in +-0.5/dim, then one (L, k) noise
-    set from its own stream `seed`, and takes `min(steps, _NEWTON_STEPS)`
-    Newton steps: 0 steps return the start, and any count from the cap up
-    returns the converged vector. `words` is the float64 (W_in, W_out) pair,
-    copied from the model when not given.
+    loss of `sigmoid(W_out[t] . (ctx_i + P) / n_i)`, where `ctx_i` sums the
+    position's context words and `n_i` counts them plus one for the
+    paragraph; it is convex in P. The chunk draws its start, uniform in
+    +-0.5/dim, then one (L, k) noise set from its own stream `seed`, and
+    takes `min(steps, _NEWTON_STEPS)` Newton steps: 0 steps return the
+    start, and any count from the cap up returns the converged vector.
 
-    A target's score is its fixed part (`_chunk_terms`) plus
-    `W_out[t] . P / n_i`, so the gradient and Hessian sum over the chunk's
-    distinct targets u: `sum_u c_u W_out[u] + _RIDGE P` and
+    Only the rows the chunk reads are converted to float64: `W_in` at its
+    tokens and `W_out` at its distinct targets u. A target's score is the
+    fixed `W_out[t] . ctx_i / n_i` plus `W_out[t] . P / n_i`, so the
+    gradient and Hessian sum over u: `sum_u c_u W_out[u] + _RIDGE P` and
     `sum_u h_u W_out[u] W_out[u]^T + _RIDGE I`, with `c_u` and `h_u` the
     bincounts of `(sigmoid - label) / n_i` and
     `sigmoid * (1 - sigmoid) / n_i^2` over the targets equal to u. The
@@ -379,15 +356,15 @@ def _infer_chunk(model: PVDMModel, ids: np.ndarray, steps: int, seed,
     cost, and no converged bit changes.
     """
     rng = np.random.default_rng(seed)
-    bound = 0.5 / model.dim
-    P = rng.uniform(-bound, bound, model.dim)
+    dim, window = model.dim, model.window
+    P = rng.uniform(-0.5 / dim, 0.5 / dim, dim)
     n_steps = min(steps, _NEWTON_STEPS)
     if n_steps <= 0:
         return P.astype(np.float32)
 
-    if words is None:
-        words = model.W_in.astype(np.float64), model.W_out.astype(np.float64)
-    tgt, fixed, inv_n = _chunk_terms(model, ids, rng, *words)
+    L = len(ids)
+    tgt = np.concatenate((ids[:, None], model.vocab.sample_noise(rng, (L, model.negative))),
+                         axis=1)
     # The distinct targets take bins 1.. in word order, found without a
     # sort; bin 0 collects the skipped noise words.
     seen = np.zeros(len(model.vocab), dtype=bool)
@@ -396,16 +373,26 @@ def _infer_chunk(model: PVDMModel, ids: np.ndarray, steps: int, seed,
     bin_of = np.zeros(len(model.vocab), dtype=np.int64)
     bin_of[unique] = np.arange(1, len(unique) + 1)
     bins = bin_of[tgt]
+    rows32 = model.W_out[unique]
+    rows = rows32.astype(np.float64)
+    words = model.W_in[ids].astype(np.float64)
+    ctx = np.zeros((L, dim))
+    for o in range(1, window + 1):
+        ctx[o:] += words[:-o]
+        ctx[:-o] += words[o:]
+    i = np.arange(L)
+    inv_n = 1.0 / (np.minimum(L, i + window + 1) - np.maximum(0, i - window))[:, None]
+    # Every target's own row, read before the skipped noise words leave their bins.
+    fixed = np.matmul(rows[bins - 1], ctx[:, :, None])[:, :, 0]
+    fixed *= inv_n
     bins[:, 1:][tgt[:, 1:] == ids[:, None]] = 0
     flat = bins.ravel()
-    rows, rows32 = words[1][unique], model.W_out[unique]
-    inv_n = inv_n[:, None]
     inv_n2 = inv_n * inv_n
     label_n = np.zeros(tgt.shape)  # label / n_i: the center word's label is 1
     label_n[:, 0] = inv_n[:, 0]
     proj = np.zeros(len(unique) + 1)
-    hess = np.empty((model.dim, model.dim))
-    diag = hess.reshape(-1)[::model.dim + 1]  # a view: the ridge lands in hess
+    hess = np.empty((dim, dim))
+    diag = hess.reshape(-1)[::dim + 1]  # a view: the ridge lands in hess
     for _ in range(n_steps):
         np.matmul(rows, P, out=proj[1:])
         sig = 1.0 / (1.0 + np.exp(-(proj[bins] * inv_n + fixed)))
@@ -436,28 +423,20 @@ class ChunkEmbedding:
     vector: np.ndarray  # (dim,) float32
 
 
-def embed_chunks(
-    model: PVDMModel,
-    chunks: list[Chunk],
-    steps: int = 50,
-    seed: int = 0,
-    alpha: float = 0.025,
-    min_alpha: float = 0.0001,
-) -> list[ChunkEmbedding]:
+def embed_chunks(model: PVDMModel, chunks: list[Chunk], steps: int,
+                 seed: int) -> list[ChunkEmbedding]:
     """Embed `chunks`, returning one embedding per chunk in input order.
 
     Chunks with no in-vocabulary tokens get the zero vector and a logged
     warning. The rest are solved one at a time (`_infer_chunk`), each from
     its own seeded stream keyed on (seed, doc_id, index), so a chunk's
     vector does not depend on the other chunks or on their order.
-    `alpha` and `min_alpha` are not read; perfbench/replay.py still passes them.
     """
-    words = model.W_in.astype(np.float64), model.W_out.astype(np.float64)
     out, oov = [], 0
     for chunk in chunks:
         ids = model.vocab.encode(chunk.tokens)
         if ids.size:
-            vector = _infer_chunk(model, ids, steps, _chunk_seed(seed, *chunk.key), words)
+            vector = _infer_chunk(model, ids, steps, _chunk_seed(seed, *chunk.key))
         else:
             logger.warning("chunk (%s, %d) is fully out-of-vocabulary; using zero vector",
                            chunk.doc_id, chunk.index)

@@ -3,10 +3,12 @@
 The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
 TrainingError -> 4. A config that cannot be read or is not UTF-8, a config or
 flag value of the wrong type, NaN or infinite, or out of range (a negative
-seed, an `aggregator.batch_size` under 2, a `run_name` of `.` or `..`), an
-unreadable split.json or input file, a missing or unreadable checkpoint or
-chunk_embeddings.tsv, or a run left INCOMPLETE by `train`, is a ConfigError. A
-`predict` input that is not UTF-8 or has no tokens is a DataError.
+seed, a repeated `aggregator.seeds` value, an `aggregator.batch_size` under 2,
+a `run_name` of `.` or `..`), an unreadable split.json or input file, a
+split.json that lists a document id twice, a missing or unreadable checkpoint
+(one missing a field included) or chunk_embeddings.tsv, or a run left
+INCOMPLETE by `train`, is a ConfigError. A `predict` input that is not UTF-8
+or has no tokens is a DataError.
 """
 
 

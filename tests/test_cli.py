@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import chunkdoc
+from chunkdoc import checkpoint
 from chunkdoc.aggregator import load_aggregator
 from chunkdoc.cli import main, run_lock
 from helpers import CLI_LABELS as LABELS
@@ -366,15 +367,34 @@ def test_train_rerun_bit_identical(workspace):
 
 
 @pytest.mark.parametrize("command", ["evaluate", "predict"])
-@pytest.mark.parametrize("damage", ["truncated", "old_format"])
+@pytest.mark.parametrize("damage", ["truncated", "old_format", "empty_header"])
 def test_unreadable_checkpoint_exit_2(trained, capsys, command, damage):
     _, config_path, config = trained
     path = _run_dir(trained) / "aggregator.bin"
     good = path.read_bytes()
-    path.write_bytes(good[:-7] if damage == "truncated" else b"AGG1\x01\x00\x00\x00" + good[8:])
+    if damage == "empty_header":  # a sound container without the model's fields
+        checkpoint.save(path, "aggregator", {}, {})
+    else:
+        path.write_bytes(good[:-7] if damage == "truncated" else b"AGG1\x01\x00\x00\x00" + good[8:])
     args = [command, "--config", str(config_path)]
     if command == "predict":
         args.append(str(Path(config["corpus"]["root"]) / "class0" / "doc0001.txt"))
+    try:
+        assert main(args) == 2
+    finally:
+        path.write_bytes(good)
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,kind", [("predict", "pvdm"), ("evaluate", "svm")])
+def test_checkpoint_without_its_fields_exit_2(trained, capsys, command, kind):
+    _, config_path, config = trained
+    path = _run_dir(trained) / f"{kind}.bin"
+    good = path.read_bytes()
+    checkpoint.save(path, kind, {}, {})
+    args = [command, "--config", str(config_path)]
+    args += ([str(Path(config["corpus"]["root"]) / "class0" / "doc0001.txt")]
+             if command == "predict" else ["--classifier", "svm"])
     try:
         assert main(args) == 2
     finally:
@@ -465,7 +485,7 @@ def test_evaluate_split_pools_only_its_documents(trained, capsys):
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])
 @pytest.mark.parametrize("damage", ["malformed", "no_labels", "unlabeled_id", "empty_train",
-                                    "empty_test"])
+                                    "empty_test", "overlap", "repeated"])
 def test_unreadable_split_manifest_exit_2(trained, capsys, command, damage):
     _, config_path, _ = trained
     path = _run_dir(trained) / "split.json"
@@ -478,6 +498,10 @@ def test_unreadable_split_manifest_exit_2(trained, capsys, command, damage):
             del manifest["labels"]
         elif damage == "unlabeled_id":
             del manifest["labels"][manifest["test"][0]]
+        elif damage == "overlap":  # a training document scored as test
+            manifest["test"].append(manifest["train"][0])
+        elif damage == "repeated":  # a test document counted twice
+            manifest["test"].append(manifest["test"][0])
         else:
             manifest[damage.split("_")[1]] = []
         path.write_text(json.dumps(manifest), encoding="utf-8")

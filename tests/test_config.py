@@ -157,6 +157,7 @@ def test_every_key_accepted_with_its_default(tmp_path):
     ("svm", "tolerance", float("nan")), ("aggregator", "learning_rate", float("inf")),
     ("aggregator", "bn_epsilon", float("nan")), ("aggregator", "batch_size", 1),
     ("aggregator", "seed", -1), ("aggregator", "seeds", [1, -1]), ("split", "seed", -3),
+    ("aggregator", "seeds", [1, 1]),
 ])
 def test_bad_stage_value_is_config_error(tmp_path, section, key, value):
     data = _minimal(tmp_path)

@@ -103,6 +103,18 @@ def test_load_skips_file_name_not_utf8(corpus_dir, capfd):
     assert err.count("skipped") == 1 and "name.txt: file name is not UTF-8" in err
 
 
+def test_load_skips_document_id_with_tab_or_line_break(corpus_dir, capfd):
+    """Such an id would split its chunk_embeddings.tsv row, so no later
+    `evaluate` could find the document's chunk vectors."""
+    for name in ("a\tb.txt", "c\nd.txt", "e\rf.txt"):
+        (corpus_dir / "alpha" / name).write_text("perfectly good words", encoding="utf-8")
+    corpus = load_corpus(corpus_dir, LabelSet(["alpha", "beta"]))
+    assert len(corpus) == 6
+    err = capfd.readouterr().err
+    assert err.count("skipped") == 3 and len(err.splitlines()) == 3
+    assert "a\\tb.txt': document id holds a tab or line break" in err
+
+
 def test_load_order_is_deterministic(corpus_dir):
     labels = LabelSet(["alpha", "beta"])
     first = load_corpus(corpus_dir, labels)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -532,6 +533,28 @@ def test_embed_chunks_vectors_do_not_depend_on_the_other_chunks(long_docs_model,
             assert (emb.doc_id, emb.index) == chunk.key
             alone = infer_vector(model, chunk.tokens, steps, _chunk_seed(11, *chunk.key))
             assert np.array_equal(emb.vector, alone)
+
+
+def test_inference_memory_follows_the_chunk_not_the_vocabulary():
+    """Inferring one 40-token chunk at V = 50,000 allocates under a quarter of
+    one float64 copy of a word matrix: only the rows the chunk reads are
+    converted, by `embed_chunks` and by `infer_vector` alike."""
+    rng = np.random.default_rng(5)
+    V, dim = 50_000, 32
+    counts = rng.integers(1, 1000, V)
+    vocab = Vocabulary([f"w{i}" for i in range(V)], counts, 1, 0.75, int(counts.sum()))
+    W_in, W_out = (rng.uniform(-0.5, 0.5, (V, dim)).astype(np.float32) for _ in range(2))
+    model = embedder.PVDMModel(vocab, 5, 5, [], W_in, W_out, np.zeros((0, dim), np.float32))
+    tokens = tuple(vocab.words[i] for i in rng.integers(0, V, 40))
+    for infer in (lambda: embed_chunks(model, [Chunk("d", 1, tokens)], 50, 0),
+                  lambda: infer_vector(model, tokens, 50, 0)):
+        tracemalloc.start()
+        try:
+            infer()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < V * dim * 8 / 4
 
 
 def test_infer_steps_zero_returns_seeded_init(two_topic_model):
