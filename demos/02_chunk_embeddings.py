@@ -44,7 +44,7 @@ print(f"mean cosine across topics  : {sims[~same & off].mean():.3f}")
 print("\ninferring vectors for fresh text (word matrices frozen):")
 for theme in ("market", "nature"):
     probe = [f"{theme}{j}" for j in rng.integers(0, 25, 60)]
-    vec = infer_vector(model, probe, steps=30, seed=99)
+    vec = infer_vector(model, probe, steps=30)
     vec = vec / np.linalg.norm(vec)
     to_market = float(vec @ normed[:20].mean(axis=0))
     to_nature = float(vec @ normed[20:].mean(axis=0))

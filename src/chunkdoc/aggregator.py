@@ -45,7 +45,7 @@ class AggregatorConfig:
     patience: int = 10
     bn_momentum: float = 0.9
     bn_epsilon: float = 1e-8
-    seed: int = 7  # the run's seed for every stage; library calls pass it explicitly
+    seed: int = 7  # seeds every training stage, passed explicitly; inference takes no seed
     seeds: list[int] = field(default_factory=list)  # sweep seeds; empty means [seed]
     beta1: ClassVar[float] = 0.9  # Adam's usual constants, not configurable
     beta2: ClassVar[float] = 0.999

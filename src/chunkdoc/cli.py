@@ -10,8 +10,12 @@ ends with the command, however it ends, and leaves no file.
 
 `predict` takes its chunk count from aggregator.bin and labels one document
 through the path `evaluate` scores: pooled document vector, then the linear
-head. `train` first removes the run's svm.bin and eval reports, so no head or
-report from an earlier run outlives a retrain.
+head. A chunk's vector follows from the model and the chunk's words alone, so
+`predict`'s answer depends on neither the file name nor `--seed`, and for a
+corpus document it is the one `evaluate` scores. `train` first removes the
+run's svm.bin and eval reports, so no head or report from an earlier run
+outlives a retrain. `prepare` never rewrites the split of a run that holds a
+trained model: its test documents could be the model's training documents.
 
 Flags override the config file's values before it is checked, so a flag
 value out of range (`--seed -1`, `--chunks 0`) fails like a file value.
@@ -21,8 +25,10 @@ wrong type, NaN or infinite, or out of range, such as a negative seed, an
 `aggregator.batch_size` under 2, a repeated `aggregator.seeds` value or a
 `run_name` of `.` or `..`; a run directory another command holds; an
 unreadable config, split.json or input file; a split.json that lists a
-document id twice; a missing or unreadable checkpoint, or one missing a field,
-or chunk_embeddings.tsv; or a run left INCOMPLETE by an unfinished `train`), 3
+document id twice; a `prepare` whose split differs from the split.json of a
+run that holds pvdm.bin or aggregator.bin; a missing or unreadable checkpoint,
+or one missing a field, or chunk_embeddings.tsv; or a run left INCOMPLETE by
+an unfinished `train`), 3
 data error (such as a `predict` input that is empty or not UTF-8), 4 training
 failure.
 """
@@ -86,13 +92,30 @@ def _write_resolved(config: PipelineConfig) -> None:
     atomic_write(config.run_dir() / "resolved_config.json", config.to_json())
 
 
+def _check_split_kept(run_dir: Path, split: DatasetSplit) -> None:
+    """A run holding a trained model keeps the split it was trained on: a new
+    split with other ids or labels is a ConfigError. An absent or unreadable
+    split.json has nothing to keep, so `prepare` may write it."""
+    if not any((run_dir / name).exists() for name in ("pvdm.bin", "aggregator.bin")):
+        return
+    try:
+        old = DatasetSplit.load(run_dir / "split.json")
+    except ConfigError:
+        return
+    if ((old.train, old.validation, old.test, old.labels)
+            != (split.train, split.validation, split.test, split.labels)):
+        raise ConfigError(f"run directory {run_dir} holds a model trained on another split; "
+                          "use another run_name, or delete its checkpoints first")
+
+
 def cmd_prepare(args) -> int:
     config = _resolved_config(args)
     run_dir = config.run_dir()
     with run_lock(run_dir):
-        _write_resolved(config)
         corpus = load_corpus(config.corpus.root, config.label_set(), config.header_labels())
         split = split_dataset(corpus, config.split.seed)
+        _check_split_kept(run_dir, split)
+        _write_resolved(config)
         split.save(run_dir / "split.json")
         stats = corpus_stats(corpus, config.header_labels())
         atomic_write(run_dir / "stats.txt", stats.format_table() + "\n")
@@ -218,7 +241,7 @@ def cmd_predict(args) -> int:
     if not tokens:
         raise DataError(f"document {input_path} is empty after preprocessing")
     chunks = split_into_chunks(tokens, aggregator.n_chunks, doc_id=input_path.stem)
-    embs = embed_chunks(pvdm, chunks, config.embedder.infer_steps, config.aggregator.seed)
+    embs = embed_chunks(pvdm, chunks, config.embedder.infer_steps)
     doc_vector = document_vectors(aggregator, {input_path.stem: embs})[input_path.stem]
     probs = aggregator.classify(doc_vector[None, :])[0]
     probabilities = {lab: float(p) for lab, p in zip(aggregator.labels, probs)}

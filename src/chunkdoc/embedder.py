@@ -9,9 +9,11 @@ schedule. Inference minimizes the same negative-sampling loss over the
 paragraph vector alone, plus a small ridge term. With the word matrices
 frozen that loss is convex in the vector, so a few Newton steps solve it to
 float64 precision. Chunks share no trainable state at inference time: each
-chunk is solved on its own, from its own seeded stream, so its vector does
-not depend on the other chunks. A solve reads only the word rows its chunk
-uses, so its cost and memory follow the chunk, not the vocabulary.
+chunk is solved on its own, from a random stream keyed on its in-vocabulary
+ids, so its vector is a function of the model, those ids and the step count
+alone: not of the other chunks, its document's name, its position or a run
+seed. A solve reads only the word rows its chunk uses, so its cost and memory
+follow the chunk, not the vocabulary.
 
 `alpha` and `min_alpha` set the learning-rate schedule of training only.
 """
@@ -325,12 +327,7 @@ def train_pvdm(
     return model
 
 
-def _chunk_seed(base_seed: int, doc_id: str, index: int) -> list[int]:
-    # surrogateescape: a file name that is not UTF-8 keeps its raw bytes
-    return [base_seed, zlib.crc32(doc_id.encode("utf-8", "surrogateescape")), index]
-
-
-def _infer_chunk(model: PVDMModel, ids: np.ndarray, steps: int, seed) -> np.ndarray:
+def _infer_chunk(model: PVDMModel, ids: np.ndarray, steps: int) -> np.ndarray:
     """A chunk's paragraph vector by a Newton solve of the frozen PV-DM objective.
 
     The vector P minimizes the chunk's negative-sampling loss with the word
@@ -340,9 +337,11 @@ def _infer_chunk(model: PVDMModel, ids: np.ndarray, steps: int, seed) -> np.ndar
     loss of `sigmoid(W_out[t] . (ctx_i + P) / n_i)`, where `ctx_i` sums the
     position's context words and `n_i` counts them plus one for the
     paragraph; it is convex in P. The chunk draws its start, uniform in
-    +-0.5/dim, then one (L, k) noise set from its own stream `seed`, and
-    takes `min(steps, _NEWTON_STEPS)` Newton steps: 0 steps return the
-    start, and any count from the cap up returns the converged vector.
+    +-0.5/dim, then one (L, k) noise set from the stream seeded with the
+    crc32 of its ids as little-endian int64 bytes, and takes
+    `min(steps, _NEWTON_STEPS)` Newton steps: 0 steps return the start, and
+    any count from the cap up returns the converged vector. The same ids
+    thus give the same vector, wherever they come from.
 
     Only the rows the chunk reads are converted to float64: `W_in` at its
     tokens and `W_out` at its distinct targets u. A target's score is the
@@ -355,7 +354,7 @@ def _infer_chunk(model: PVDMModel, ids: np.ndarray, steps: int, seed) -> np.ndar
     gradient vanishes, so the Hessian is built in float32, at half the
     cost, and no converged bit changes.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(zlib.crc32(ids.astype("<i8").tobytes()))
     dim, window = model.dim, model.window
     P = rng.uniform(-0.5 / dim, 0.5 / dim, dim)
     n_steps = min(steps, _NEWTON_STEPS)
@@ -377,7 +376,7 @@ def _infer_chunk(model: PVDMModel, ids: np.ndarray, steps: int, seed) -> np.ndar
     rows = rows32.astype(np.float64)
     words = model.W_in[ids].astype(np.float64)
     ctx = np.zeros((L, dim))
-    for o in range(1, window + 1):
+    for o in range(1, min(window, L - 1) + 1):  # offsets of L and beyond add nothing
         ctx[o:] += words[:-o]
         ctx[:-o] += words[o:]
     i = np.arange(L)
@@ -405,15 +404,15 @@ def _infer_chunk(model: PVDMModel, ids: np.ndarray, steps: int, seed) -> np.ndar
     return P.astype(np.float32)
 
 
-def infer_vector(model: PVDMModel, tokens, steps: int, seed, alpha: float = 0.025,
+def infer_vector(model: PVDMModel, tokens, steps: int, seed=None, alpha: float = 0.025,
                  min_alpha: float = 0.0001) -> np.ndarray:
-    """Embed one token sequence by the Newton solve of `_infer_chunk`;
-    deterministic for a given (model, tokens, steps, seed).
-    `alpha` and `min_alpha` are not read; perfbench/replay.py still passes them."""
+    """Embed one token sequence by the Newton solve of `_infer_chunk`, keyed
+    on its in-vocabulary ids: a function of (model, tokens, steps) alone.
+    `seed`, `alpha` and `min_alpha` are not read; perfbench/replay.py still passes them."""
     ids = model.vocab.encode(tokens)
     if ids.size == 0:
         raise OOVChunkError("no in-vocabulary tokens to infer from")
-    return _infer_chunk(model, ids, steps, seed)
+    return _infer_chunk(model, ids, steps)
 
 
 @dataclass(frozen=True)
@@ -423,20 +422,20 @@ class ChunkEmbedding:
     vector: np.ndarray  # (dim,) float32
 
 
-def embed_chunks(model: PVDMModel, chunks: list[Chunk], steps: int,
-                 seed: int) -> list[ChunkEmbedding]:
+def embed_chunks(model: PVDMModel, chunks: list[Chunk], steps: int) -> list[ChunkEmbedding]:
     """Embed `chunks`, returning one embedding per chunk in input order.
 
     Chunks with no in-vocabulary tokens get the zero vector and a logged
     warning. The rest are solved one at a time (`_infer_chunk`), each from
-    its own seeded stream keyed on (seed, doc_id, index), so a chunk's
-    vector does not depend on the other chunks or on their order.
+    a stream keyed on its in-vocabulary ids, so a chunk's vector is
+    `infer_vector` of its tokens: it depends on neither the other chunks,
+    their order, nor the chunk's doc_id or index.
     """
     out, oov = [], 0
     for chunk in chunks:
         ids = model.vocab.encode(chunk.tokens)
         if ids.size:
-            vector = _infer_chunk(model, ids, steps, _chunk_seed(seed, *chunk.key))
+            vector = _infer_chunk(model, ids, steps)
         else:
             logger.warning("chunk (%s, %d) is fully out-of-vocabulary; using zero vector",
                            chunk.doc_id, chunk.index)
@@ -460,10 +459,10 @@ def embed_corpus(
     """Embed every chunk of every document by the Newton solve, ordered by
     chunk index (see `embed_chunks`), so results do not depend on corpus
     composition.
-    `alpha` and `min_alpha` are not read; perfbench/replay.py still passes them."""
+    `seed`, `alpha` and `min_alpha` are not read; perfbench/replay.py still passes them."""
     chunks = [c for doc in corpus for c in chunk_document(doc, n_chunks)]
     out: dict[str, list[ChunkEmbedding]] = {doc.id: [] for doc in corpus}
-    for emb in embed_chunks(model, chunks, steps, seed):
+    for emb in embed_chunks(model, chunks, steps):
         out[emb.doc_id].append(emb)
     return out
 

@@ -5,10 +5,11 @@ TrainingError -> 4. A config that cannot be read or is not UTF-8, a config or
 flag value of the wrong type, NaN or infinite, or out of range (a negative
 seed, a repeated `aggregator.seeds` value, an `aggregator.batch_size` under 2,
 a `run_name` of `.` or `..`), an unreadable split.json or input file, a
-split.json that lists a document id twice, a missing or unreadable checkpoint
-(one missing a field included) or chunk_embeddings.tsv, or a run left
-INCOMPLETE by `train`, is a ConfigError. A `predict` input that is not UTF-8
-or has no tokens is a DataError.
+split.json that lists a document id twice, a `prepare` that would replace the
+split of a run holding pvdm.bin or aggregator.bin with another, a missing or
+unreadable checkpoint (one missing a field included) or chunk_embeddings.tsv,
+or a run left INCOMPLETE by `train`, is a ConfigError. A `predict` input that
+is not UTF-8 or has no tokens is a DataError.
 """
 
 

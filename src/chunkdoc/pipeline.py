@@ -67,8 +67,7 @@ def train_pipeline(corpus: Corpus, split: DatasetSplit, settings: PipelineSettin
     logger.info("embedder sample: %d documents, %d chunks, vocabulary %d",
                 len(sample), len(train_chunks), len(vocab))
     pvdm = train_pvdm(train_chunks, vocab, settings.embedder, seed=[seed, 1])
-    embeddings = embed_corpus(pvdm, corpus, n_chunks, steps=settings.embedder.infer_steps,
-                              seed=seed)
+    embeddings = embed_corpus(pvdm, corpus, n_chunks, steps=settings.embedder.infer_steps)
     aggregator, train_log = train_aggregator(
         corpus, split, embeddings, settings.aggregator, seed=seed, n_chunks=n_chunks
     )

@@ -11,8 +11,9 @@ import pytest
 
 import chunkdoc
 from chunkdoc import checkpoint
-from chunkdoc.aggregator import load_aggregator
+from chunkdoc.aggregator import document_vectors, load_aggregator
 from chunkdoc.cli import main, run_lock
+from chunkdoc.embedder import load_chunk_embeddings
 from helpers import CLI_LABELS as LABELS
 from helpers import make_cli_workspace
 
@@ -51,6 +52,27 @@ def test_prepare_rerun_identical_bytes(workspace):
     assert main(["prepare", "--config", str(config_path)]) == 0
     second = {p.name: p.read_bytes() for p in run_dir.iterdir() if p.is_file()}
     assert first == second
+
+
+def test_prepare_keeps_the_split_of_a_trained_run(workspace, capsys):
+    """A new split would score the model's training documents as test, so
+    `prepare` refuses it while the run holds a model, and writes nothing."""
+    _, config_path, _ = workspace
+    run_dir = _run_dir(workspace)
+    assert main(["prepare", "--config", str(config_path)]) == 0
+    assert main(["train", "--config", str(config_path)]) == 0
+    assert main(["evaluate", "--config", str(config_path)]) == 0
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir() if p.is_file()}
+    reports = _eval_reports(run_dir)
+    capsys.readouterr()
+    assert main(["prepare", "--config", str(config_path), "--seed", "11"]) == 2
+    err = capsys.readouterr().err
+    assert str(run_dir) in err and "run_name" in err and "checkpoints" in err
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir() if p.is_file()} == before
+    assert main(["evaluate", "--config", str(config_path)]) == 0
+    assert _eval_reports(run_dir) == reports
+    assert main(["prepare", "--config", str(config_path)]) == 0  # the same split
+    assert (run_dir / "split.json").read_bytes() == before["split.json"]
 
 
 def test_prepare_missing_label_directory_exit_2(workspace, capsys):
@@ -246,6 +268,38 @@ def test_predict_deterministic(trained, capsys):
     first = capsys.readouterr().out
     assert main(["predict", "--config", str(config_path), str(sample)]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_predict_depends_on_neither_file_name_nor_seed(trained, tmp_path, capsys):
+    _, config_path, config = trained
+    document = Path(config["corpus"]["root"]) / "class2" / "doc0003.txt"
+    renamed = tmp_path / "another name.txt"
+    shutil.copy(document, renamed)
+    outputs = []
+    for path, flags in ((document, []), (renamed, []), (document, ["--seed", "99"])):
+        assert main(["predict", "--config", str(config_path), *flags, str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
+def test_predict_agrees_with_evaluate_on_the_test_split(trained, capsys):
+    """`predict` on a test document gives the probabilities `evaluate` scores:
+    the linear head on the vectors pooled from chunk_embeddings.tsv."""
+    _, config_path, config = trained
+    run_dir = _run_dir(trained)
+    test_ids = json.loads((run_dir / "split.json").read_text())["test"]
+    aggregator = load_aggregator(run_dir / "aggregator.bin")
+    pooled = document_vectors(aggregator, load_chunk_embeddings(run_dir / "chunk_embeddings.tsv",
+                                                                test_ids))
+    expected = aggregator.classify(np.stack([pooled[i] for i in test_ids]))
+    for doc_id, probs in zip(test_ids, expected, strict=True):
+        document = Path(config["corpus"]["root"]) / f"{doc_id}.txt"
+        assert main(["predict", "--config", str(config_path), str(document)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["label"] == aggregator.labels[int(probs.argmax())]
+        got = np.array([payload["probabilities"][label] for label in aggregator.labels])
+        assert np.abs(got - probs).max() <= 1e-12, doc_id
 
 
 def test_predict_oov_garbage_no_crash(trained, capsys):

@@ -1,7 +1,9 @@
+import copy
 import os
 import subprocess
 import sys
 import tracemalloc
+import zlib
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -433,11 +435,12 @@ def long_docs_model():
     return model, [vocab.encode(c.tokens) for c in chunks]
 
 
-def _objective_gradient_and_hessian(model, ids, seed, P):
+def _objective_gradient_and_hessian(model, ids, P):
     """The gradient and Hessian of a chunk's inference objective at P, as a
     plain loop over positions and targets: the oracle for the Newton solve.
-    The chunk's stream is replayed: its start, then one (L, k) noise set."""
-    rng = np.random.default_rng(seed)
+    The chunk's stream, keyed on the crc32 of its ids as little-endian int64
+    bytes, is replayed: its start, then one (L, k) noise set."""
+    rng = np.random.default_rng(zlib.crc32(np.asarray(ids, dtype="<i8").tobytes()))
     rng.uniform(-0.5 / model.dim, 0.5 / model.dim, model.dim)
     negs = model.vocab.sample_noise(rng, (len(ids), model.negative))
     W_in, W_out = model.W_in.astype(np.float64), model.W_out.astype(np.float64)
@@ -468,16 +471,13 @@ def test_solve_reaches_the_gradient_tolerance(long_docs_model):
     long_ids = np.concatenate(encoded[:2])[:667]
     short = encoded[2]
     batch = [short[:1], short[:model.window - 1], long_ids, short[:2 * model.window + 3]]
-    seeds = [[13, b] for b in range(len(batch))]
-    solved = [_infer_chunk(model, ids, 50, seed).astype(np.float64)
-              for ids, seed in zip(batch, seeds)]
-    early = [_infer_chunk(model, ids, 2, seed).astype(np.float64)
-             for ids, seed in zip(batch, seeds)]
-    for ids, seed, P, P_early in zip(batch, seeds, solved, early):
-        grad, hess = _objective_gradient_and_hessian(model, ids, seed, P)
+    for ids in batch:
+        P = _infer_chunk(model, ids, 50).astype(np.float64)
+        P_early = _infer_chunk(model, ids, 2).astype(np.float64)
+        grad, hess = _objective_gradient_and_hessian(model, ids, P)
         tolerance = 2.0 * np.linalg.norm(hess, 2) * 2.0**-24 * np.linalg.norm(P)
         assert np.linalg.norm(grad) <= tolerance
-        grad_early, _ = _objective_gradient_and_hessian(model, ids, seed, P_early)
+        grad_early, _ = _objective_gradient_and_hessian(model, ids, P_early)
         assert np.linalg.norm(grad_early) > tolerance
 
 
@@ -488,7 +488,7 @@ from chunkdoc.embedder import _infer_chunk, load_pvdm
 model = load_pvdm(sys.argv[1])
 with np.load(sys.argv[2]) as f:
     batch = [f[f"chunk{b}"] for b in range(len(f.files))]
-vectors = np.stack([_infer_chunk(model, ids, 50, [17, b]) for b, ids in enumerate(batch)])
+vectors = np.stack([_infer_chunk(model, ids, 50) for ids in batch])
 sys.stdout.write(vectors.tobytes().hex())
 """
 
@@ -502,7 +502,7 @@ def test_vectors_do_not_depend_on_the_blas_thread_count(long_docs_model, tmp_pat
     batch = [encoded[0], encoded[1][:3], encoded[2][:40], encoded[3]]
     save_pvdm(model, tmp_path / "pvdm.bin")
     np.savez(tmp_path / "batch.npz", **{f"chunk{b}": ids for b, ids in enumerate(batch)})
-    expected = np.stack([_infer_chunk(model, ids, 50, [17, b]) for b, ids in enumerate(batch)])
+    expected = np.stack([_infer_chunk(model, ids, 50) for ids in batch])
     src = Path(embedder.__file__).resolve().parents[1]
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
@@ -513,26 +513,45 @@ def test_vectors_do_not_depend_on_the_blas_thread_count(long_docs_model, tmp_pat
         assert done.stdout == expected.tobytes().hex(), f"OPENBLAS_NUM_THREADS={threads}"
 
 
-@given(st.lists(st.tuples(st.integers(0, 14), st.integers(0, 400), st.integers(1, 80)),
+@given(st.lists(st.tuples(st.integers(0, 14), st.integers(0, 400), st.integers(1, 80),
+                          st.text(min_size=1, max_size=12), st.integers(1, 10**6),
+                          st.lists(st.integers(0, 80), max_size=8)),
                 min_size=1, max_size=6),
        st.integers(1, 3))
 @settings(max_examples=50, deadline=None)
-def test_embed_chunks_vectors_do_not_depend_on_the_other_chunks(long_docs_model, spans,
-                                                                steps):
-    """`embed_chunks` gives each chunk `infer_vector` on its tokens with its
-    `_chunk_seed`, with the chunks in order and reversed: ragged chunks,
-    some shorter than the window, at dim 64."""
-    from chunkdoc.embedder import _chunk_seed
-
+def test_embed_chunks_vector_is_infer_vector_of_its_words(long_docs_model, spans, steps):
+    """`embed_chunks` gives each chunk `infer_vector` on its in-vocabulary
+    tokens alone: under any doc id and chunk index, with out-of-vocabulary
+    tokens put between the tokens, and with the chunks in order and
+    reversed. Ragged chunks, some shorter than the window, at dim 64."""
     model, encoded = long_docs_model
     words = model.vocab.words
-    chunks = [Chunk(f"d/{b}", b + 1, tuple(words[i] for i in encoded[c][start:start + length]))
-              for b, (c, start, length) in enumerate(spans)]
-    for order in (chunks, chunks[::-1]):
-        for chunk, emb in zip(order, embed_chunks(model, order, steps, seed=11)):
-            assert (emb.doc_id, emb.index) == chunk.key
-            alone = infer_vector(model, chunk.tokens, steps, _chunk_seed(11, *chunk.key))
-            assert np.array_equal(emb.vector, alone)
+    chunks, alone = [], []
+    for c, start, length, doc_id, index, oov_at in spans:
+        tokens = [words[i] for i in encoded[c][start:start + length]]
+        alone.append(infer_vector(model, tokens, steps))
+        for k, at in enumerate(sorted(oov_at, reverse=True)):
+            tokens.insert(min(at, len(tokens)), f"<unknown {k}>")
+        chunks.append(Chunk(doc_id, index, tuple(tokens)))
+    for order, expected in ((chunks, alone), (chunks[::-1], alone[::-1])):
+        embs = embed_chunks(model, order, steps)
+        assert [(e.doc_id, e.index) for e in embs] == [c.key for c in order]
+        for emb, vector in zip(embs, expected, strict=True):
+            assert np.array_equal(emb.vector, vector)
+
+
+def test_a_window_past_the_chunk_gives_the_vector_of_the_whole_chunk(long_docs_model):
+    """Every context offset of L and beyond falls outside an L-token chunk,
+    so any window from L - 1 up gives the same bytes."""
+    from chunkdoc.embedder import _infer_chunk
+
+    model, encoded = long_docs_model
+    ids = encoded[0][:30]
+    wide = copy.copy(model)
+    wide.window = len(ids) - 1
+    expected = _infer_chunk(wide, ids, 50)
+    wide.window = 10**5
+    assert _infer_chunk(wide, ids, 50).tobytes() == expected.tobytes()
 
 
 def test_inference_memory_follows_the_chunk_not_the_vocabulary():
@@ -546,8 +565,8 @@ def test_inference_memory_follows_the_chunk_not_the_vocabulary():
     W_in, W_out = (rng.uniform(-0.5, 0.5, (V, dim)).astype(np.float32) for _ in range(2))
     model = embedder.PVDMModel(vocab, 5, 5, [], W_in, W_out, np.zeros((0, dim), np.float32))
     tokens = tuple(vocab.words[i] for i in rng.integers(0, V, 40))
-    for infer in (lambda: embed_chunks(model, [Chunk("d", 1, tokens)], 50, 0),
-                  lambda: infer_vector(model, tokens, 50, 0)):
+    for infer in (lambda: embed_chunks(model, [Chunk("d", 1, tokens)], 50),
+                  lambda: infer_vector(model, tokens, 50)):
         tracemalloc.start()
         try:
             infer()
@@ -558,10 +577,12 @@ def test_inference_memory_follows_the_chunk_not_the_vocabulary():
 
 
 def test_infer_steps_zero_returns_seeded_init(two_topic_model):
+    """0 steps return the start keyed on the chunk's ids: the same tokens
+    give the same start whatever `seed` is passed, other tokens another."""
     model, chunks = two_topic_model
     v1 = infer_vector(model, chunks[0].tokens, steps=0, seed=3)
-    v2 = infer_vector(model, chunks[0].tokens, steps=0, seed=3)
-    v3 = infer_vector(model, chunks[0].tokens, steps=0, seed=4)
+    v2 = infer_vector(model, chunks[0].tokens, steps=0, seed=4)
+    v3 = infer_vector(model, chunks[1].tokens, steps=0, seed=3)
     assert np.array_equal(v1, v2)
     assert not np.array_equal(v1, v3)
     bound = 0.5 / model.dim
@@ -570,22 +591,22 @@ def test_infer_steps_zero_returns_seeded_init(two_topic_model):
 
 def test_infer_deterministic(two_topic_model):
     model, chunks = two_topic_model
-    a = infer_vector(model, chunks[3].tokens, steps=10, seed=11)
-    b = infer_vector(model, chunks[3].tokens, steps=10, seed=11)
+    a = infer_vector(model, chunks[3].tokens, steps=10)
+    b = infer_vector(model, chunks[3].tokens, steps=10)
     assert np.array_equal(a, b)
 
 
 def test_infer_oov_error(two_topic_model):
     model, _ = two_topic_model
     with pytest.raises(OOVChunkError):
-        infer_vector(model, ["nothing", "known"], steps=5, seed=0)
+        infer_vector(model, ["nothing", "known"], steps=5)
 
 
 def test_infer_leaves_word_matrices_frozen(two_topic_model):
     model, chunks = two_topic_model
     before_in = model.W_in.copy()
     before_out = model.W_out.copy()
-    infer_vector(model, chunks[5].tokens, steps=10, seed=0)
+    infer_vector(model, chunks[5].tokens, steps=10)
     assert np.array_equal(model.W_in, before_in)
     assert np.array_equal(model.W_out, before_out)
 
@@ -596,7 +617,7 @@ def test_self_retrieval(two_topic_model):
     model, chunks = two_topic_model
     P = model.P.astype(np.float64)
     for idx in range(0, len(chunks), 4):
-        vec = infer_vector(model, chunks[idx].tokens, steps=40, seed=100 + idx)
+        vec = infer_vector(model, chunks[idx].tokens, steps=40)
         own = _cosine(vec, P[idx])
         others = [_cosine(vec, P[j]) for j in range(len(P)) if j != idx]
         beaten = sum(1 for o in others if o < own)
@@ -620,7 +641,7 @@ def test_embed_corpus_counts(two_topic_model):
     model, _ = two_topic_model
     corpus = _tiny_corpus()
     for n in (1, 3, 50):
-        embs = embed_corpus(model, corpus, n, steps=2, seed=0)
+        embs = embed_corpus(model, corpus, n, steps=2)
         assert set(embs) == {d.id for d in corpus}
         for doc in corpus:
             expected = min(n, len(doc.tokens))
@@ -631,15 +652,15 @@ def test_embed_corpus_counts(two_topic_model):
 
 def test_embed_corpus_matches_single_inference(two_topic_model):
     """`embed_corpus` gives each chunk its vector inferred alone, bit for bit."""
-    from chunkdoc.embedder import _chunk_seed, _infer_chunk
+    from chunkdoc.embedder import _infer_chunk
 
     model, _ = two_topic_model
     corpus = _tiny_corpus()
-    embs = embed_corpus(model, corpus, 3, steps=4, seed=7)
+    embs = embed_corpus(model, corpus, 3, steps=4)
     for doc in corpus:
         for chunk in chunk_document(doc, 3):
             ids = model.vocab.encode(chunk.tokens)
-            single = _infer_chunk(model, ids, 4, _chunk_seed(7, doc.id, chunk.index))
+            single = _infer_chunk(model, ids, 4)
             embedded = embs[doc.id][chunk.index - 1].vector
             assert np.array_equal(single, embedded)
 
@@ -658,7 +679,7 @@ def test_training_and_embedding_bit_equal_with_the_searchsorted_sampler():
 
     def run():
         model = train_pvdm(chunks, vocab, config, seed=8)
-        return model, embed_corpus(model, corpus, 3, steps=3, seed=2)
+        return model, embed_corpus(model, corpus, 3, steps=3)
 
     def oracle(self, rng, shape):
         return _searchsorted_ids(self, rng.random(shape))
@@ -682,7 +703,7 @@ def test_embed_corpus_oov_chunk_zero_vector(two_topic_model, caplog):
     docs = [Document(d.id, d.label, " ".join(d.tokens), d.tokens) for d in docs]
     corpus = Corpus(docs, LabelSet(["x", "y"]))
     with caplog.at_level("WARNING"):
-        embs = embed_corpus(model, corpus, 2, steps=2, seed=0)
+        embs = embed_corpus(model, corpus, 2, steps=2)
     for emb in embs["y/alien"]:
         assert np.array_equal(emb.vector, np.zeros(model.dim, dtype=np.float32))
     assert any("out-of-vocabulary" in r.message for r in caplog.records)
@@ -715,15 +736,15 @@ def test_checkpoint_roundtrip_preserves_inference(two_topic_model, tmp_path):
     path = tmp_path / "model.bin"
     save_pvdm(model, path)
     loaded = load_pvdm(path)
-    a = infer_vector(model, chunks[2].tokens, steps=5, seed=1)
-    b = infer_vector(loaded, chunks[2].tokens, steps=5, seed=1)
+    a = infer_vector(model, chunks[2].tokens, steps=5)
+    b = infer_vector(loaded, chunks[2].tokens, steps=5)
     assert np.array_equal(a, b)
 
 
 def test_chunk_embedding_tsv_roundtrip(two_topic_model, tmp_path):
     model, _ = two_topic_model
     corpus = _tiny_corpus()
-    embs = embed_corpus(model, corpus, 3, steps=2, seed=0)
+    embs = embed_corpus(model, corpus, 3, steps=2)
     path = tmp_path / "chunks.tsv"
     export_chunk_embeddings(embs, path)
     lines = path.read_text().splitlines()
