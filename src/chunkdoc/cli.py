@@ -15,7 +15,18 @@ head. A chunk's vector follows from the model and the chunk's words alone, so
 corpus document it is the one `evaluate` scores. `train` first removes the
 run's svm.bin and eval reports, so no head or report from an earlier run
 outlives a retrain. `prepare` never rewrites the split of a run that holds a
-trained model: its test documents could be the model's training documents.
+trained model, nor its resolved_config.json: its test documents could be the
+model's training documents, and the config is the one the model was trained
+under (`train` writes it).
+
+Each command runs at one OpenBLAS thread and leaves the caller's thread count
+as it found it, however the command ends. Every BLAS call in the pipeline is
+small (a syrk of a few hundred rows by 64 per Newton step, 64 x 64 solves,
+LSTM products of a batch by the hidden size), yet after a threaded call
+OpenBLAS's workers keep spinning and take a core from the Python thread: on
+a two-core host that about doubled `evaluate`'s time. No output depends on
+the thread count. The count is set through numpy's bundled OpenBLAS; with
+another BLAS the commands run at its own setting.
 
 Flags override the config file's values before it is checked, so a flag
 value out of range (`--seed -1`, `--chunks 0`) fails like a file value.
@@ -36,13 +47,17 @@ failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import fcntl
+import functools
 import json
 import logging
 import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+
+import numpy as np
 
 from .aggregator import document_vectors, load_aggregator, save_aggregator, write_training_log
 from .checkpoint import atomic_write
@@ -76,6 +91,42 @@ def run_lock(run_dir: Path):
         os.close(fd)
 
 
+@functools.cache  # one lookup per process: the library stays loaded with numpy
+def _blas_thread_calls():
+    """The thread-count getter and setter of the OpenBLAS that numpy bundles, or
+    None. The symbols are private to that build, so any other BLAS has none."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*")):
+        try:
+            lib = ctypes.CDLL(str(path))  # numpy loaded it already: the same handle
+        except OSError:
+            continue
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block at one OpenBLAS thread, then restore the caller's count,
+    however the block ends. Without numpy's bundled OpenBLAS it does nothing."""
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def _resolved_config(args) -> PipelineConfig:
     """The config file with the command's flags applied, checked as one."""
     flags = {"output_dir": args.output, "split.seed": args.seed, "aggregator.seed": args.seed,
@@ -96,8 +147,6 @@ def _check_split_kept(run_dir: Path, split: DatasetSplit) -> None:
     """A run holding a trained model keeps the split it was trained on: a new
     split with other ids or labels is a ConfigError. An absent or unreadable
     split.json has nothing to keep, so `prepare` may write it."""
-    if not any((run_dir / name).exists() for name in ("pvdm.bin", "aggregator.bin")):
-        return
     try:
         old = DatasetSplit.load(run_dir / "split.json")
     except ConfigError:
@@ -114,8 +163,10 @@ def cmd_prepare(args) -> int:
     with run_lock(run_dir):
         corpus = load_corpus(config.corpus.root, config.label_set(), config.header_labels())
         split = split_dataset(corpus, config.split.seed)
-        _check_split_kept(run_dir, split)
-        _write_resolved(config)
+        if any((run_dir / name).exists() for name in ("pvdm.bin", "aggregator.bin")):
+            _check_split_kept(run_dir, split)  # and the config the model was trained under
+        else:
+            _write_resolved(config)
         split.save(run_dir / "split.json")
         stats = corpus_stats(corpus, config.header_labels())
         atomic_write(run_dir / "stats.txt", stats.format_table() + "\n")
@@ -319,7 +370,8 @@ def main(argv=None) -> int:
         format="%(asctime)s %(levelname)s %(name)s: %(message)s",
     )
     try:
-        return args.func(args)
+        with one_blas_thread():
+            return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

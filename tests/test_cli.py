@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 import chunkdoc
-from chunkdoc import checkpoint
+from chunkdoc import checkpoint, cli
 from chunkdoc.aggregator import document_vectors, load_aggregator
 from chunkdoc.cli import main, run_lock
 from chunkdoc.embedder import load_chunk_embeddings
+from chunkdoc.errors import ConfigError
 from helpers import CLI_LABELS as LABELS
 from helpers import make_cli_workspace
 
@@ -73,6 +74,19 @@ def test_prepare_keeps_the_split_of_a_trained_run(workspace, capsys):
     assert _eval_reports(run_dir) == reports
     assert main(["prepare", "--config", str(config_path)]) == 0  # the same split
     assert (run_dir / "split.json").read_bytes() == before["split.json"]
+
+
+def test_prepare_beside_a_trained_model_keeps_its_resolved_config(workspace):
+    """The run's resolved_config.json describes its model: a `prepare` with
+    the same split but another head and seed leaves it as `train` wrote it."""
+    _, config_path, _ = workspace
+    run_dir = _run_dir(workspace)
+    assert main(["prepare", "--config", str(config_path)]) == 0
+    assert main(["train", "--config", str(config_path)]) == 0
+    trained_under = (run_dir / "resolved_config.json").read_bytes()
+    assert main(["prepare", "--config", str(config_path), "--classifier", "svm",
+                 "--seed", "5"]) == 0  # 5 is the config's split seed: the same split
+    assert (run_dir / "resolved_config.json").read_bytes() == trained_under
 
 
 def test_prepare_missing_label_directory_exit_2(workspace, capsys):
@@ -585,3 +599,111 @@ def test_evaluate_parses_only_the_rows_it_scores(trained):
         tsv.write_text(good)
     assert _eval_reports(run_dir) == before
 
+
+@pytest.fixture
+def blas_threads():
+    """The getter of numpy's OpenBLAS thread count, with the caller's count
+    set to 2 for the test and put back after it."""
+    calls = cli._blas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy bundles no OpenBLAS with thread-count symbols")
+    get, set_ = calls
+    before = get()
+    set_(2)
+    try:
+        assert get() == 2
+        yield get
+    finally:
+        set_(before)
+
+
+@pytest.mark.parametrize("outcome", ["exit 0", "exit 2", "raise"])
+def test_a_command_runs_at_one_blas_thread_and_restores_the_callers_count(
+        workspace, monkeypatch, blas_threads, outcome):
+    _, config_path, _ = workspace
+    seen = []
+
+    def command(args):
+        seen.append(blas_threads())
+        if outcome == "exit 2":
+            raise ConfigError("a bad input")
+        if outcome == "raise":
+            raise RuntimeError("a programming error")
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_train", command)
+    argv = ["train", "--config", str(config_path)]
+    if outcome == "raise":
+        with pytest.raises(RuntimeError):
+            main(argv)
+    else:
+        assert main(argv) == {"exit 0": 0, "exit 2": 2}[outcome]
+    assert seen == [1]
+    assert blas_threads() == 2
+
+
+def test_commands_without_a_bundled_openblas_behave_as_before(workspace, monkeypatch, capsys,
+                                                              blas_threads):
+    """With no OpenBLAS thread-count symbol found, the thread pin does nothing:
+    every command runs at the caller's two threads and prints and writes what
+    it does with the pin."""
+    _, config_path, config = workspace
+    run_dir = _run_dir(workspace)
+    document = Path(config["corpus"]["root"]) / "class2" / "doc0003.txt"
+    commands = [["prepare"], ["train", "--classifier", "both"], ["predict", str(document)]]
+
+    def run_all():
+        stdout = []
+        for command in commands:
+            assert main([command[0], "--config", str(config_path), *command[1:]]) == 0
+            stdout.append(capsys.readouterr().out)
+        return stdout, {p.name: p.read_bytes() for p in run_dir.iterdir() if p.is_file()}
+
+    pinned = run_all()
+    shutil.rmtree(run_dir)
+    monkeypatch.setattr(cli, "_blas_thread_calls", lambda: None)
+    assert run_all() == pinned
+    assert blas_threads() == 2
+
+
+_TRAIN_IN_A_CHILD = """
+import sys
+from pathlib import Path
+from chunkdoc.aggregator import AggregatorConfig, save_aggregator
+from chunkdoc.corpus import split_dataset
+from chunkdoc.embedder import EmbedderConfig, export_chunk_embeddings
+from chunkdoc.pipeline import PipelineSettings, train_pipeline
+from chunkdoc.svm import SVMConfig, save_svm
+from chunkdoc.synthetic import SyntheticSpec, generate_synthetic_corpus
+corpus = generate_synthetic_corpus(SyntheticSpec(n_classes=3, docs_per_class=8, doc_length=600,
+                                                 filler_vocab_size=200, class_vocab_size=10),
+                                   seed=4)
+settings = PipelineSettings(
+    EmbedderConfig(dim=64, window=3, epochs=3, negative=3, min_count=1, per_class=3),
+    AggregatorConfig(hidden_size=48, batch_size=8, epochs=6, patience=6), SVMConfig())
+pipe = train_pipeline(corpus, split_dataset(corpus, seed=4), settings, n_chunks=2,
+                      classifier="both", seed=4)
+out = Path(sys.argv[1])
+save_aggregator(pipe.aggregator, out / "aggregator.bin")
+save_svm(pipe.svm, out / "svm.bin")
+export_chunk_embeddings(pipe.embeddings, out / "chunk_embeddings.tsv")
+"""
+
+
+def test_trained_models_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """`train_pipeline` writes the same chunk vectors, aggregator and SVM with
+    one OpenBLAS thread and with two, so running the commands at one thread
+    changes no answer. Each 300-token chunk at dim 64 bins up to about 230
+    distinct targets, so a Newton step's syrk is large enough to be threaded."""
+    src = Path(chunkdoc.__file__).resolve().parents[1]
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-c", _TRAIN_IN_A_CHILD, str(out)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert sorted(written[0]) == ["aggregator.bin", "chunk_embeddings.tsv", "svm.bin"]
+    assert written[1] == written[0]
