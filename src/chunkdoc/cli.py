@@ -8,14 +8,17 @@ labels), aggregator.bin, svm.bin and chunk_embeddings.tsv, never the corpus.
 Every command but `predict` holds a kernel `flock` on the run directory, which
 ends with the command, however it ends, and leaves no file.
 
-`predict` takes its chunk count from aggregator.bin and labels one document
-through the path `evaluate` scores: pooled document vector, then the linear
-head. A chunk's vector follows from the model and the chunk's words alone, so
-`predict`'s answer depends on neither the file name nor `--seed`, and for a
-corpus document it is the one `evaluate` scores. `train` first removes the
-run's svm.bin and eval reports, so no head or report from an earlier run
-outlives a retrain. `prepare` never rewrites the split of a run that holds a
-trained model, nor its resolved_config.json: its test documents could be the
+`predict` takes its chunk count from aggregator.bin and its Newton step count
+from pvdm.bin, so a config edited after `train` changes neither, and labels
+one document through the path `evaluate` scores: pooled document vector, then
+the linear head. A chunk's vector follows from the model and the chunk's
+words alone, so `predict`'s answer depends on neither the file name nor
+`--seed`, and for a corpus document it is the one `evaluate` scores. `train`
+first removes the run's svm.bin and eval reports, so no head or report from
+an earlier run outlives a retrain; a `train` that fails before training
+(a missing corpus or split.json) leaves the run as it was. `prepare` never
+rewrites the split of a run that holds a trained model, and neither `prepare`
+nor `sweep` rewrites its resolved_config.json: its test documents could be the
 model's training documents, and the config is the one the model was trained
 under (`train` writes it).
 
@@ -143,6 +146,12 @@ def _write_resolved(config: PipelineConfig) -> None:
     atomic_write(config.run_dir() / "resolved_config.json", config.to_json())
 
 
+def _holds_model(run_dir: Path) -> bool:
+    """Whether the run holds a trained model, whose resolved_config.json only
+    `train` may write."""
+    return any((run_dir / name).exists() for name in ("pvdm.bin", "aggregator.bin"))
+
+
 def _check_split_kept(run_dir: Path, split: DatasetSplit) -> None:
     """A run holding a trained model keeps the split it was trained on: a new
     split with other ids or labels is a ConfigError. An absent or unreadable
@@ -163,7 +172,7 @@ def cmd_prepare(args) -> int:
     with run_lock(run_dir):
         corpus = load_corpus(config.corpus.root, config.label_set(), config.header_labels())
         split = split_dataset(corpus, config.split.seed)
-        if any((run_dir / name).exists() for name in ("pvdm.bin", "aggregator.bin")):
+        if _holds_model(run_dir):
             _check_split_kept(run_dir, split)  # and the config the model was trained under
         else:
             _write_resolved(config)
@@ -181,10 +190,10 @@ def cmd_train(args) -> int:
     config = _resolved_config(args)
     run_dir = config.run_dir()
     with run_lock(run_dir):
-        _write_resolved(config)
         corpus, split = _load_prepared(config)
         marker = run_dir / "INCOMPLETE"
         marker.write_text("training in progress\n", encoding="utf-8")
+        _write_resolved(config)
         for stale in [run_dir / "svm.bin", *run_dir.glob("eval_*")]:  # no earlier head or report
             stale.unlink(missing_ok=True)
         pipe = train_pipeline(
@@ -292,7 +301,7 @@ def cmd_predict(args) -> int:
     if not tokens:
         raise DataError(f"document {input_path} is empty after preprocessing")
     chunks = split_into_chunks(tokens, aggregator.n_chunks, doc_id=input_path.stem)
-    embs = embed_chunks(pvdm, chunks, config.embedder.infer_steps)
+    embs = embed_chunks(pvdm, chunks, pvdm.infer_steps)
     doc_vector = document_vectors(aggregator, {input_path.stem: embs})[input_path.stem]
     probs = aggregator.classify(doc_vector[None, :])[0]
     probabilities = {lab: float(p) for lab, p in zip(aggregator.labels, probs)}
@@ -316,8 +325,9 @@ def cmd_sweep(args) -> int:
     else:
         n_list = list(DEFAULT_N_LIST)
     with run_lock(run_dir):
-        _write_resolved(config)
         corpus, split = _load_prepared(config)
+        if not _holds_model(run_dir):
+            _write_resolved(config)
         rows = run_chunk_sweep(corpus, split, n_list, HEADS[config.classifier],
                                config.sweep_seeds(), config.settings())
         write_sweep_tsv(rows, run_dir / "sweep.tsv")

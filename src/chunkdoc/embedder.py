@@ -15,7 +15,12 @@ alone: not of the other chunks, its document's name, its position or a run
 seed. A solve reads only the word rows its chunk uses, so its cost and memory
 follow the chunk, not the vocabulary.
 
-`alpha` and `min_alpha` set the learning-rate schedule of training only.
+`alpha` and `min_alpha` set the learning-rate schedule of training only. The
+step count is a setting of the model: `train_pvdm` copies it from the config,
+and `save_pvdm` writes it to the checkpoint with what inference reads (the
+vocabulary and its noise distribution, the word matrices, the window and the
+noise count), so a config edited after training changes no vector. The
+training chunks' paragraph rows `P` are training state and are not saved.
 """
 
 from __future__ import annotations
@@ -59,17 +64,16 @@ class EmbedderConfig:
     alpha: float = 0.025
     min_alpha: float = 0.0001
     noise_exponent: float = 0.75
-    infer_steps: int = 50  # Newton steps per chunk at inference, capped at _NEWTON_STEPS
+    infer_steps: int = _NEWTON_STEPS  # Newton steps per chunk at inference, capped there
     per_class: int = 30  # training-split documents per label sampled to train PV-DM
 
 
 class Vocabulary:
     """Word inventory plus the unigram noise distribution for negative draws.
 
-    `words[i]` has index i and count `counts[i]`; `total_tokens` counts every
-    token seen, kept or not. Noise word i has probability proportional to
-    `counts[i] ** noise_exponent`; a draw maps a uniform u in [0, 1) to
-    `searchsorted(noise_cdf, u)`, the first i with u <= noise_cdf[i].
+    `words[i]` has index i and count `counts[i]`. Noise word i has probability
+    proportional to `counts[i] ** noise_exponent`; a draw maps a uniform u in
+    [0, 1) to `searchsorted(noise_cdf, u)`, the first i with u <= noise_cdf[i].
 
     The mapping goes through a guide table (Chen & Asau, 1974): [0, 1) is cut
     into 2^b equal buckets, 2^b >= 8 * V, and `noise_guide[j]` holds the
@@ -80,14 +84,11 @@ class Vocabulary:
     answer equals `searchsorted`'s for every u.
     """
 
-    def __init__(self, words: list[str], counts, min_count: int, noise_exponent: float,
-                 total_tokens: int):
+    def __init__(self, words: list[str], counts, noise_exponent: float):
         self.words = list(words)
         self.counts = np.array(counts, dtype=np.int64)
         self.index: dict[str, int] = {w: i for i, w in enumerate(self.words)}
-        self.min_count = int(min_count)
         self.noise_exponent = float(noise_exponent)
-        self.total_tokens = int(total_tokens)
         with np.errstate(over="ignore"):  # an overflow is reported below
             weights = self.counts.astype(np.float64) ** self.noise_exponent
         total = weights.sum()
@@ -141,8 +142,7 @@ def build_vocab(chunks: list[Chunk], min_count: int, noise_exponent: float = 0.7
                   key=lambda wc: (-wc[1], wc[0]))
     if not kept:
         raise DataError(f"vocabulary is empty after min_count={min_count} filtering")
-    return Vocabulary([w for w, _ in kept], [c for _, c in kept], min_count, noise_exponent,
-                      sum(counts.values()))
+    return Vocabulary([w for w, _ in kept], [c for _, c in kept], noise_exponent)
 
 
 def sample_embedding_training_docs(
@@ -164,25 +164,17 @@ def sample_embedding_training_docs(
 
 
 class PVDMModel:
-    """Input/output word matrices (V, dim) plus one paragraph vector per
-    training chunk: row i of `P` belongs to `chunk_keys[i]`."""
+    """The inference model: vocabulary, input/output word matrices (V, dim),
+    window, noise count and Newton step count. `P`, one paragraph vector per
+    training chunk in `train_pvdm`'s input order, is training state: set on
+    the model `train_pvdm` returns, None on a loaded one."""
 
-    def __init__(
-        self,
-        vocab: Vocabulary,
-        window: int,
-        negative: int,
-        chunk_keys: list[tuple[str, int]],
-        W_in: np.ndarray,
-        W_out: np.ndarray,
-        P: np.ndarray,
-    ):
-        if len(set(chunk_keys)) != len(chunk_keys):
-            raise DataError("duplicate chunk keys for paragraph matrix")
+    def __init__(self, vocab: Vocabulary, window: int, negative: int, infer_steps: int,
+                 W_in: np.ndarray, W_out: np.ndarray, P: np.ndarray | None = None):
         self.vocab = vocab
         self.window = int(window)
         self.negative = int(negative)
-        self.chunk_keys = list(chunk_keys)
+        self.infer_steps = int(infer_steps)
         self.W_in, self.W_out, self.P = W_in, W_out, P
         self.dim = W_in.shape[1]
         self.epoch_losses: list[float] = []
@@ -299,8 +291,7 @@ def train_pvdm(
     W_in = rng.uniform(-bound, bound, shape).astype(np.float32)
     W_out = rng.uniform(-bound, bound, shape).astype(np.float32)
     P = rng.uniform(-bound, bound, (len(chunks), config.dim)).astype(np.float32)
-    model = PVDMModel(vocab, config.window, config.negative, [c.key for c in chunks],
-                      W_in, W_out, P)
+    model = PVDMModel(vocab, config.window, config.negative, config.infer_steps, W_in, W_out, P)
     encoded = [vocab.encode(c.tokens) for c in chunks]
     for c, ids in zip(chunks, encoded):
         if ids.size == 0:
@@ -497,25 +488,19 @@ def load_chunk_embeddings(path, doc_ids=None) -> dict[str, list[ChunkEmbedding]]
 
 
 def save_pvdm(model: PVDMModel, path) -> None:
-    """Checkpoint (see `checkpoint`); load(save(m)) is bit-exact."""
+    """Checkpoint (see `checkpoint`) of what inference reads, `P` left out;
+    save(load(save(m))) writes the same bytes."""
     vocab = model.vocab
-    header = {
-        "dim": model.dim, "window": model.window, "negative": model.negative,
-        "words": vocab.words, "min_count": vocab.min_count,
-        "noise_exponent": vocab.noise_exponent, "total_tokens": vocab.total_tokens,
-        "chunk_doc_ids": [doc_id for doc_id, _ in model.chunk_keys],
-    }
-    arrays = {
-        "counts": vocab.counts,
-        "chunk_indices": np.array([index for _, index in model.chunk_keys], dtype=np.int64),
-        "W_in": model.W_in, "W_out": model.W_out, "P": model.P,
-    }
+    header = {"window": model.window, "negative": model.negative,
+              "infer_steps": model.infer_steps, "words": vocab.words,
+              "noise_exponent": vocab.noise_exponent}
+    arrays = {"counts": vocab.counts, "W_in": model.W_in, "W_out": model.W_out}
     checkpoint.save(path, "pvdm", header, arrays)
 
 
 def load_pvdm(path) -> PVDMModel:
+    """The inference model `save_pvdm` wrote, with `P` None. A file without one
+    of its fields (one written before `infer_steps` was saved, say) raises KeyError."""
     h, a = checkpoint.load(path, "pvdm")
-    vocab = Vocabulary(h["words"], a["counts"], h["min_count"], h["noise_exponent"],
-                       h["total_tokens"])
-    chunk_keys = list(zip(h["chunk_doc_ids"], a["chunk_indices"].tolist()))
-    return PVDMModel(vocab, h["window"], h["negative"], chunk_keys, a["W_in"], a["W_out"], a["P"])
+    vocab = Vocabulary(h["words"], a["counts"], h["noise_exponent"])
+    return PVDMModel(vocab, h["window"], h["negative"], h["infer_steps"], a["W_in"], a["W_out"])

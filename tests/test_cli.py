@@ -89,6 +89,36 @@ def test_prepare_beside_a_trained_model_keeps_its_resolved_config(workspace):
     assert (run_dir / "resolved_config.json").read_bytes() == trained_under
 
 
+def test_sweep_beside_a_trained_model_keeps_its_resolved_config(workspace):
+    """A `sweep` in a trained run leaves resolved_config.json as `train` wrote
+    it: the record must not claim an SVM head or a seed the model lacks."""
+    _, config_path, _ = workspace
+    run_dir = _run_dir(workspace)
+    assert main(["prepare", "--config", str(config_path)]) == 0
+    assert main(["train", "--config", str(config_path)]) == 0
+    trained_under = (run_dir / "resolved_config.json").read_bytes()
+    assert main(["sweep", "--config", str(config_path), "--n", "1", "--classifier", "svm",
+                 "--seed", "9"]) == 0
+    assert (run_dir / "resolved_config.json").read_bytes() == trained_under
+    assert not (run_dir / "svm.bin").exists()
+
+
+def test_train_that_fails_before_training_leaves_the_run_as_it_was(workspace, capsys):
+    """A `train` whose corpus is missing exits 2 before it writes anything: the
+    trained run keeps its files, resolved_config.json included, and no marker."""
+    tmp_path, config_path, config = workspace
+    run_dir = _run_dir(workspace)
+    assert main(["prepare", "--config", str(config_path)]) == 0
+    assert main(["train", "--config", str(config_path)]) == 0
+    before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps({**config, "corpus": {**config["corpus"],
+                                                       "root": str(tmp_path / "gone")}}))
+    assert main(["train", "--config", str(broken), "--classifier", "svm"]) == 2
+    assert "gone" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+
 def test_prepare_missing_label_directory_exit_2(workspace, capsys):
     tmp_path, config_path, config = workspace
     shutil.rmtree(Path(config["corpus"]["root"]) / "class2")
@@ -421,6 +451,25 @@ def test_chunks_flag_overrides_config(workspace, monkeypatch, capsys):
     assert exc.value.code == 2
 
 
+def test_predict_reads_its_step_count_from_pvdm_bin(workspace, capsys):
+    """The config's embedder.infer_steps sets what `train` saves in pvdm.bin;
+    an edit after training changes no byte `predict` prints."""
+    _, config_path, config = workspace
+    assert main(["prepare", "--config", str(config_path)]) == 0
+    assert main(["train", "--config", str(config_path)]) == 0
+    document = str(Path(config["corpus"]["root"]) / "class0" / "doc0000.txt")
+    capsys.readouterr()
+    assert main(["predict", "--config", str(config_path), document]) == 0
+    trained_steps = capsys.readouterr().out
+    config["embedder"]["infer_steps"] = 1
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["predict", "--config", str(config_path), document]) == 0
+    assert capsys.readouterr().out == trained_steps
+    from chunkdoc.embedder import load_pvdm
+
+    assert load_pvdm(_run_dir(workspace) / "pvdm.bin").infer_steps == 10
+
+
 def test_train_rerun_bit_identical(workspace):
     _, config_path, _ = workspace
     assert main(["prepare", "--config", str(config_path)]) == 0
@@ -468,6 +517,32 @@ def test_checkpoint_without_its_fields_exit_2(trained, capsys, command, kind):
     finally:
         path.write_bytes(good)
     assert str(path) in capsys.readouterr().err
+
+
+def test_pvdm_bin_of_the_older_layout_exit_2(trained, capsys):
+    """A pvdm.bin written before the step count was saved, with the paragraph
+    rows, chunk keys and vocabulary provenance it held then, is refused by
+    name: without its step count it cannot reproduce the model's inference."""
+    _, config_path, config = trained
+    path = _run_dir(trained) / "pvdm.bin"
+    good = path.read_bytes()
+    header, arrays = checkpoint.load(path, "pvdm")
+    dim = arrays["W_in"].shape[1]
+    old_header = {"dim": dim, "window": header["window"], "negative": header["negative"],
+                  "words": header["words"], "min_count": 1,
+                  "noise_exponent": header["noise_exponent"], "total_tokens": 100,
+                  "chunk_doc_ids": ["class0/doc0000"]}
+    old_arrays = {"counts": arrays["counts"], "chunk_indices": np.array([1], dtype=np.int64),
+                  "W_in": arrays["W_in"], "W_out": arrays["W_out"],
+                  "P": np.zeros((1, dim), dtype=np.float32)}
+    checkpoint.save(path, "pvdm", old_header, old_arrays)
+    document = str(Path(config["corpus"]["root"]) / "class0" / "doc0001.txt")
+    try:
+        assert main(["predict", "--config", str(config_path), document]) == 2
+    finally:
+        path.write_bytes(good)
+    err = capsys.readouterr().err
+    assert str(path) in err and "infer_steps" in err
 
 
 def test_evaluate_reads_chunk_vectors_not_pvdm(workspace, capsys):

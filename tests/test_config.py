@@ -123,7 +123,7 @@ ALL_KEYS = {
     "chunking": {"n_chunks": 3},
     "embedder": {"dim": 100, "window": 5, "epochs": 40, "negative": 5, "min_count": 5,
                  "alpha": 0.025, "min_alpha": 0.0001, "noise_exponent": 0.75,
-                 "infer_steps": 50, "per_class": 30},
+                 "infer_steps": 5, "per_class": 30},
     "aggregator": {"hidden_size": 64, "learning_rate": 0.001, "batch_size": 32,
                    "epochs": 100, "patience": 10, "bn_momentum": 0.9, "bn_epsilon": 1e-8,
                    "seed": 7, "seeds": []},

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chunkdoc import embedder
+from chunkdoc import checkpoint, embedder
 from chunkdoc.chunker import Chunk, chunk_document
 from chunkdoc.corpus import Corpus, Document, LabelSet
 from chunkdoc.embedder import (EmbedderConfig, Vocabulary, build_vocab,
@@ -74,8 +74,7 @@ def test_noise_sampling_deterministic():
 
 
 def _vocab_of_counts(counts, noise_exponent=0.75):
-    return Vocabulary([f"w{i}" for i in range(len(counts))], counts, 1, noise_exponent,
-                      int(np.sum(counts)))
+    return Vocabulary([f"w{i}" for i in range(len(counts))], counts, noise_exponent)
 
 
 def _searchsorted_ids(vocab, u):
@@ -561,9 +560,9 @@ def test_inference_memory_follows_the_chunk_not_the_vocabulary():
     rng = np.random.default_rng(5)
     V, dim = 50_000, 32
     counts = rng.integers(1, 1000, V)
-    vocab = Vocabulary([f"w{i}" for i in range(V)], counts, 1, 0.75, int(counts.sum()))
+    vocab = Vocabulary([f"w{i}" for i in range(V)], counts, 0.75)
     W_in, W_out = (rng.uniform(-0.5, 0.5, (V, dim)).astype(np.float32) for _ in range(2))
-    model = embedder.PVDMModel(vocab, 5, 5, [], W_in, W_out, np.zeros((0, dim), np.float32))
+    model = embedder.PVDMModel(vocab, 5, 5, 50, W_in, W_out)
     tokens = tuple(vocab.words[i] for i in rng.integers(0, V, 40))
     for infer in (lambda: embed_chunks(model, [Chunk("d", 1, tokens)], 50),
                   lambda: infer_vector(model, tokens, 50)):
@@ -714,18 +713,24 @@ def test_embed_corpus_oov_chunk_zero_vector(two_topic_model, caplog):
 # serialization
 
 def test_checkpoint_roundtrip_bit_exact(two_topic_model, tmp_path):
+    """pvdm.bin holds what inference reads and nothing else: the paragraph
+    rows of the training chunks stay behind."""
     model, _ = two_topic_model
     path = tmp_path / "model.bin"
     save_pvdm(model, path)
+    header, arrays = checkpoint.load(path, "pvdm")
+    assert list(header) == ["window", "negative", "infer_steps", "words", "noise_exponent"]
+    assert list(arrays) == ["counts", "W_in", "W_out"]
     loaded = load_pvdm(path)
     assert np.array_equal(loaded.W_in, model.W_in)
     assert np.array_equal(loaded.W_out, model.W_out)
-    assert np.array_equal(loaded.P, model.P)
+    assert model.P is not None and loaded.P is None
     assert loaded.vocab.words == model.vocab.words
     assert np.array_equal(loaded.vocab.counts, model.vocab.counts)
-    assert loaded.vocab.total_tokens == model.vocab.total_tokens
-    assert loaded.chunk_keys == model.chunk_keys
-    assert (loaded.dim, loaded.window, loaded.negative) == (model.dim, model.window, model.negative)
+    assert loaded.vocab.noise_exponent == model.vocab.noise_exponent
+    assert loaded.infer_steps == model.infer_steps == TWO_TOPIC_CONFIG.infer_steps
+    assert ((loaded.dim, loaded.window, loaded.negative)
+            == (model.dim, model.window, model.negative))
     second = tmp_path / "model2.bin"
     save_pvdm(loaded, second)
     assert second.read_bytes() == path.read_bytes()

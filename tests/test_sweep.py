@@ -45,7 +45,7 @@ def test_embedder_per_class_sets_the_embedder_sample(tiny_corpus_split):
     corpus, split = tiny_corpus_split
     pipe = train_pipeline(corpus, split, TINY_SETTINGS, n_chunks=1, classifier="linear", seed=0)
     assert TINY_SETTINGS.per_class == 2
-    assert len(pipe.pvdm.chunk_keys) == 2 * len(corpus.label_set)
+    assert len(pipe.pvdm.P) == 2 * len(corpus.label_set)
 
 
 def test_both_classifiers_and_sorting(tiny_corpus_split):
