@@ -396,7 +396,8 @@ class AggregatorModel:
     def classify(self, doc_vectors) -> np.ndarray:
         """The linear head: softmax(affine(BN(d))) for pooled document vectors
         (rows of `document_vectors`), normalized with the running statistics.
-        Pure; gives the probabilities `predict` gives for the same documents."""
+        Pure; these are `predict`'s `probabilities`, and their argmax is the
+        linear label `pipeline.label_documents` gives."""
         params = _f64(self.params)
         normed, _, _, _ = batchnorm_forward(
             doc_vectors, params["bn.gamma"], params["bn.beta"],

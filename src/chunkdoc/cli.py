@@ -10,17 +10,24 @@ ends with the command, however it ends, and leaves no file.
 
 `predict` takes its chunk count from aggregator.bin and its Newton step count
 from pvdm.bin, so a config edited after `train` changes neither, and labels
-one document through the path `evaluate` scores: pooled document vector, then
-the linear head. A chunk's vector follows from the model and the chunk's
-words alone, so `predict`'s answer depends on neither the file name nor
-`--seed`, and for a corpus document it is the one `evaluate` scores. `train`
-first removes the run's svm.bin and eval reports, so no head or report from
-an earlier run outlives a retrain; a `train` that fails before training
-(a missing corpus or split.json) leaves the run as it was. `prepare` never
-rewrites the split of a run that holds a trained model, and neither `prepare`
-nor `sweep` rewrites its resolved_config.json: its test documents could be the
-model's training documents, and the config is the one the model was trained
-under (`train` writes it).
+one document's pooled vector with `pipeline.label_documents`, the function
+`evaluate` scores with. It prints one JSON object: `label` and
+`probabilities`, the linear head's answer, and, when the run holds svm.bin,
+`svm_label`, the SVM head's label. `train` first removes the run's svm.bin and
+eval reports, so no head or report from an earlier run outlives a retrain, and
+svm.bin is there only if the last `train` trained the SVM; a `train` that
+fails before training (a missing corpus or split.json) leaves the run as it
+was. A chunk's vector follows from the model and the chunk's words alone, so
+`predict`'s output depends on neither the file name nor `--seed`, and
+`--classifier` changes none of it either. For a corpus document it is the
+answer `evaluate` scores, except in the `corpus.boilerplate_labels` classes
+(`10-K`/`10-Q` by default): `load_corpus` strips their first 6 lines, chosen
+by gold label, and `predict`, which has no label, strips nothing.
+
+`prepare` never rewrites the split of a run that holds a trained model, and
+neither `prepare` nor `sweep` rewrites its resolved_config.json: its test
+documents could be the model's training documents, and the config is the one
+the model was trained under (`train` writes it).
 
 Each command runs at one OpenBLAS thread and leaves the caller's thread count
 as it found it, however the command ends. Every BLAS call in the pipeline is
@@ -41,8 +48,9 @@ wrong type, NaN or infinite, or out of range, such as a negative seed, an
 unreadable config, split.json or input file; a split.json that lists a
 document id twice; a `prepare` whose split differs from the split.json of a
 run that holds pvdm.bin or aggregator.bin; a missing or unreadable checkpoint,
-or one missing a field, or chunk_embeddings.tsv; or a run left INCOMPLETE by
-an unfinished `train`), 3
+or one missing a field, or chunk_embeddings.tsv, or one whose row of a scored
+document holds NaN or an infinity; or a run left INCOMPLETE by an unfinished
+`train`), 3
 data error (such as a `predict` input that is empty or not UTF-8), 4 training
 failure.
 """
@@ -71,7 +79,7 @@ from .embedder import (embed_chunks, export_chunk_embeddings, load_chunk_embeddi
                        load_pvdm, save_pvdm)
 from .errors import ConfigError, DataError, TrainingError
 from .evaluation import export_embeddings
-from .pipeline import HEADS, TrainedPipeline, evaluate, mean_chunk_vectors, train_pipeline
+from .pipeline import HEADS, evaluate, label_documents, mean_chunk_vectors, train_pipeline
 from .svm import load_svm, save_svm
 from .sweep import DEFAULT_N_LIST, format_sweep_table, run_chunk_sweep, write_sweep_tsv
 
@@ -238,10 +246,11 @@ def _checkpoint(load, path: Path, hint: str = "run `train` first"):
                           "run `train` again") from None
 
 
-def _load_run(run_dir: Path, doc_ids: list[str], need_svm: bool) -> TrainedPipeline:
-    """The trained pipeline in a run directory, pooled for `doc_ids`: the checkpoints
-    plus chunk_embeddings.tsv, which must hold chunks 1..k (k <= n_chunks) of each
-    of `doc_ids`, each of the checkpoint's embedding_dim."""
+def _load_run(run_dir: Path, doc_ids: list[str], need_svm: bool):
+    """The run's aggregator, its SVM (None unless `need_svm`) and the pooled
+    vectors of `doc_ids`, from chunk_embeddings.tsv, which must hold chunks 1..k
+    (k <= n_chunks) of each of `doc_ids`, each finite and of the checkpoint's
+    embedding_dim."""
     aggregator = _checkpoint(load_aggregator, run_dir / "aggregator.bin")
     svm = (_checkpoint(load_svm, run_dir / "svm.bin", "train with --classifier svm")
            if need_svm else None)
@@ -256,10 +265,9 @@ def _load_run(run_dir: Path, doc_ids: list[str], need_svm: bool) -> TrainedPipel
                 or [e.index for e in embs] != list(range(1, len(embs) + 1))
                 or any(len(e.vector) != aggregator.embedding_dim for e in embs)):
             raise ConfigError(f"{path} lacks chunk vectors of {doc_id}; run `train` again")
-    return TrainedPipeline(
-        pvdm=None, embeddings=embeddings, aggregator=aggregator, train_log=[],
-        doc_vectors=document_vectors(aggregator, embeddings), svm=svm,
-    )
+        if not all(np.isfinite(e.vector).all() for e in embs):
+            raise ConfigError(f"{path} holds a non-finite vector of {doc_id}; run `train` again")
+    return aggregator, svm, document_vectors(aggregator, embeddings)
 
 
 def cmd_evaluate(args) -> int:
@@ -270,10 +278,11 @@ def cmd_evaluate(args) -> int:
     with run_lock(run_dir):
         split = DatasetSplit.load(run_dir / "split.json")
         doc_ids = [i for name in split_names for i in getattr(split, name)]
-        pipe = _load_run(run_dir, doc_ids, need_svm="svm" in heads)
+        aggregator, svm, doc_vectors = _load_run(run_dir, doc_ids, need_svm="svm" in heads)
         for split_name in split_names:
+            reports = evaluate(aggregator, svm, doc_vectors, split, split_name)
             for head in heads:
-                report = evaluate(pipe, split, split_name, head)
+                report = reports[head]
                 base = run_dir / f"eval_{split_name}_{head}"
                 atomic_write(base.with_suffix(".json"), report.to_json())
                 atomic_write(base.with_suffix(".txt"), report.format_table())
@@ -287,6 +296,8 @@ def cmd_predict(args) -> int:
     run_dir = config.run_dir()
     pvdm = _checkpoint(load_pvdm, run_dir / "pvdm.bin")
     aggregator = _checkpoint(load_aggregator, run_dir / "aggregator.bin")
+    # `train` deletes svm.bin unless it trains the SVM, so the file records the run's heads
+    svm = _checkpoint(load_svm, run_dir / "svm.bin") if (run_dir / "svm.bin").exists() else None
     input_path = Path(args.input)
     if not input_path.is_file():
         raise ConfigError(f"input file not found: {input_path}")
@@ -302,11 +313,12 @@ def cmd_predict(args) -> int:
         raise DataError(f"document {input_path} is empty after preprocessing")
     chunks = split_into_chunks(tokens, aggregator.n_chunks, doc_id=input_path.stem)
     embs = embed_chunks(pvdm, chunks, pvdm.infer_steps)
-    doc_vector = document_vectors(aggregator, {input_path.stem: embs})[input_path.stem]
-    probs = aggregator.classify(doc_vector[None, :])[0]
-    probabilities = {lab: float(p) for lab, p in zip(aggregator.labels, probs)}
-    label = aggregator.labels[int(probs.argmax())]
-    print(json.dumps({"label": label, "probabilities": probabilities}))
+    doc_vector = document_vectors(aggregator, {input_path.stem: embs})[input_path.stem][None, :]
+    heads = label_documents(aggregator, svm, doc_vector)
+    probs = aggregator.classify(doc_vector)[0]
+    print(json.dumps({"label": heads.pop("linear")[0],
+                      "probabilities": {lab: float(p) for lab, p in zip(aggregator.labels, probs)},
+                      **{f"{head}_label": labels[0] for head, labels in heads.items()}}))
     return 0
 
 
@@ -328,7 +340,7 @@ def cmd_sweep(args) -> int:
         corpus, split = _load_prepared(config)
         if not _holds_model(run_dir):
             _write_resolved(config)
-        rows = run_chunk_sweep(corpus, split, n_list, HEADS[config.classifier],
+        rows = run_chunk_sweep(corpus, split, n_list, config.classifier,
                                config.sweep_seeds(), config.settings())
         write_sweep_tsv(rows, run_dir / "sweep.tsv")
         print(format_sweep_table(rows))
@@ -363,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", parents=[common], help="write F1 reports and confusion matrices")
     p.add_argument("--split", choices=["validation", "test", "all"], default="all")
     p.set_defaults(func=cmd_evaluate)
-    p = sub.add_parser("predict", parents=[common], help="classify one plain-text document")
+    p = sub.add_parser("predict", parents=[common], help="label one document with every trained head")
     p.add_argument("input", help="path to a UTF-8 text file")
     p.set_defaults(func=cmd_predict)
     p = sub.add_parser("sweep", parents=[common], help="train across chunk counts, emit a TSV")

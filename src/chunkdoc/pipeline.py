@@ -1,9 +1,10 @@
 """End-to-end stage glue: sample -> train embedder -> embed -> train
-aggregator -> (optional) SVM, plus split evaluation: both heads label the
-aggregator's pooled document vectors.
+aggregator -> (optional) SVM, plus the one labelling path: `label_documents`
+gives every trained head's labels for pooled document vectors, and `evaluate`
+scores a split from them.
 
-Used by both the CLI commands and the chunk-count sweep so every entry point
-runs the identical code path.
+Used by the CLI commands and the chunk-count sweep, so every entry point
+runs the identical code path and a head answers the same on each.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class PipelineSettings:
 
 @dataclass
 class TrainedPipeline:
-    pvdm: PVDMModel | None  # None when loaded from a run directory
+    pvdm: PVDMModel
     embeddings: dict[str, list[ChunkEmbedding]]
     aggregator: AggregatorModel
     train_log: list[dict]
@@ -83,20 +84,27 @@ def train_pipeline(corpus: Corpus, split: DatasetSplit, settings: PipelineSettin
     )
 
 
-def evaluate(pipe: TrainedPipeline, split: DatasetSplit, split_name: str,
-             head: str) -> EvalReport:
-    """F1 report of `head` ("linear" or "svm") on the pooled vectors of the
-    `split_name` documents, scored against the labels `split` records."""
+def label_documents(aggregator: AggregatorModel, svm: SVMModel | None,
+                    doc_vectors: np.ndarray) -> dict[str, list[str]]:
+    """Each trained head's labels for the rows of `doc_vectors` (pooled document
+    vectors): "linear", the argmax of `aggregator.classify`, and "svm" when
+    `svm` is not None."""
+    labels = {"linear": [aggregator.labels[i] for i in aggregator.classify(doc_vectors).argmax(1)]}
+    if svm is not None:
+        labels["svm"] = svm.predict(doc_vectors)
+    return labels
+
+
+def evaluate(aggregator: AggregatorModel, svm: SVMModel | None,
+             doc_vectors: dict[str, np.ndarray], split: DatasetSplit,
+             split_name: str) -> dict[str, EvalReport]:
+    """Each trained head's F1 report on the pooled vectors of the `split_name`
+    documents, scored against the labels `split` records."""
     doc_ids = getattr(split, split_name)
-    X = np.stack([pipe.doc_vectors[i] for i in doc_ids])
-    if head == "linear":
-        labels = [pipe.aggregator.labels[i] for i in pipe.aggregator.classify(X).argmax(axis=1)]
-    elif head == "svm" and pipe.svm is not None:
-        labels = pipe.svm.predict(X)
-    else:
-        raise DataError(f"pipeline has no {head!r} head")
     gold = [split.labels[i] for i in doc_ids]
-    return f1_report(labels, gold, LabelSet(pipe.aggregator.labels), split=split_name)
+    heads = label_documents(aggregator, svm, np.stack([doc_vectors[i] for i in doc_ids]))
+    return {head: f1_report(labels, gold, LabelSet(aggregator.labels), split=split_name)
+            for head, labels in heads.items()}
 
 
 def mean_chunk_vectors(embeddings: dict[str, list[ChunkEmbedding]]) -> dict[str, np.ndarray]:

@@ -37,39 +37,35 @@ def run_chunk_sweep(
     corpus: Corpus,
     split: DatasetSplit,
     n_list,
-    classifiers,
+    classifier: str,
     seeds,
     settings: PipelineSettings,
 ) -> list[SweepRow]:
-    """One pipeline run per (n, seed); both heads are read off the same run.
+    """One pipeline run per (n, seed), trained for `classifier` (a key of HEADS);
+    a row per head of HEADS[classifier], all read off the same run.
 
-    A cell that fails with DataError or TrainingError is recorded with NaN
-    scores and an error string instead of aborting the sweep; any other
-    exception is a bug and propagates. Rows come back sorted by
-    (n, classifier, seed).
+    An unknown `classifier` raises KeyError before any cell runs. A cell
+    that fails with DataError or TrainingError is recorded with NaN scores and
+    an error string instead of aborting the sweep; any other exception is a
+    bug and propagates. Rows come back sorted by (n, classifier, seed).
     """
-    classifiers = list(classifiers)
-    for kind in classifiers:
-        if kind not in HEADS["both"]:
-            raise ValueError(f"unknown classifier kind {kind!r}")
-    want_svm = "svm" in classifiers
+    heads = HEADS[classifier]  # a KeyError on an unknown key, before any cell runs
     rows: list[SweepRow] = []
     for n in sorted(n_list):
         w_c = mean_words_per_chunk(corpus, n)
         for seed in seeds:
             try:
-                pipe = train_pipeline(
-                    corpus, split, settings, n_chunks=n,
-                    classifier="both" if want_svm else "linear", seed=seed,
-                )
-                for kind in classifiers:
-                    val = evaluate(pipe, split, "validation", kind)
-                    test = evaluate(pipe, split, "test", kind)
-                    rows.append(SweepRow(n, w_c, kind, seed, val.macro_f1, test.macro_f1))
+                pipe = train_pipeline(corpus, split, settings, n_chunks=n,
+                                      classifier=classifier, seed=seed)
+                val = evaluate(pipe.aggregator, pipe.svm, pipe.doc_vectors, split, "validation")
+                test = evaluate(pipe.aggregator, pipe.svm, pipe.doc_vectors, split, "test")
+                for head in heads:
+                    rows.append(SweepRow(n, w_c, head, seed, val[head].macro_f1,
+                                         test[head].macro_f1))
             except (DataError, TrainingError) as exc:
                 logger.error("sweep cell (n=%d, seed=%d) failed: %s", n, seed, exc)
-                for kind in classifiers:
-                    rows.append(SweepRow(n, w_c, kind, seed, math.nan, math.nan, error=str(exc)))
+                for head in heads:
+                    rows.append(SweepRow(n, w_c, head, seed, math.nan, math.nan, error=str(exc)))
     rows.sort(key=lambda r: (r.n_chunks, r.classifier, r.seed))
     return rows
 

@@ -323,8 +323,8 @@ def test_criterion_7_end_to_end_global_corpus():
     )
     pipe = train_pipeline(corpus, split, settings, n_chunks=3, classifier="both", seed=703)
     assert len(pipe.train_log) <= 30
-    linear_f1 = evaluate(pipe, split, "test", "linear").macro_f1
-    svm_f1 = evaluate(pipe, split, "test", "svm").macro_f1
+    reports = evaluate(pipe.aggregator, pipe.svm, pipe.doc_vectors, split, "test")
+    linear_f1, svm_f1 = reports["linear"].macro_f1, reports["svm"].macro_f1
     elapsed = time.time() - started
     assert linear_f1 >= 0.95
     assert svm_f1 >= 0.95
@@ -357,7 +357,8 @@ def test_criterion_8_chunking_beats_whole_document():
         for seed in (0, 1, 2):
             pipe = train_pipeline(corpus, split, settings, n_chunks=n,
                                   classifier="linear", seed=seed)
-            f1s.append(evaluate(pipe, split, "test", "linear").macro_f1)
+            reports = evaluate(pipe.aggregator, pipe.svm, pipe.doc_vectors, split, "test")
+            f1s.append(reports["linear"].macro_f1)
         medians[n] = float(np.median(f1s))
     assert medians[3] >= medians[1]
     _report("criterion 8a", f"median test F1 over 3 seeds: {medians[3]:.3f} at n=3 vs "
@@ -377,7 +378,7 @@ def test_criterion_8_sweep_emits_full_table(tmp_path):
         svm=SVMConfig(C=1.0),
     )
     n_list = [1, 3, 5, 7, 10, 25, 50]
-    rows = run_chunk_sweep(corpus, split, n_list, ["linear", "svm"], [0], settings)
+    rows = run_chunk_sweep(corpus, split, n_list, "both", [0], settings)
     assert [r.n_chunks for r in rows if r.classifier == "linear"] == n_list
     assert [r.n_chunks for r in rows if r.classifier == "svm"] == n_list
     assert all(not r.failed for r in rows)

@@ -15,6 +15,7 @@ from chunkdoc.aggregator import document_vectors, load_aggregator
 from chunkdoc.cli import main, run_lock
 from chunkdoc.embedder import load_chunk_embeddings
 from chunkdoc.errors import ConfigError
+from chunkdoc.svm import load_svm
 from helpers import CLI_LABELS as LABELS
 from helpers import make_cli_workspace
 
@@ -253,6 +254,10 @@ def test_train_linear_only_skips_svm(workspace, capsys):
     capsys.readouterr()
     assert main(["evaluate", "--config", str(config_path), "--classifier", "svm"]) == 2
     assert "train with --classifier svm" in capsys.readouterr().err
+    # ... and `predict` answers with the one head the retrain trained
+    document = Path(workspace[2]["corpus"]["root"]) / "class0" / "doc0001.txt"
+    assert main(["predict", "--config", str(config_path), str(document)]) == 0
+    assert set(json.loads(capsys.readouterr().out)) == {"label", "probabilities"}
 
 
 def test_retrain_removes_reports_of_the_previous_model(workspace):
@@ -299,10 +304,11 @@ def test_predict_training_document(trained, capsys):
     sample = corpus_root / "class1" / "doc0000.txt"
     assert main(["predict", "--config", str(config_path), str(sample)]) == 0
     payload = json.loads(capsys.readouterr().out.strip())
-    assert set(payload) == {"label", "probabilities"}
+    assert set(payload) == {"label", "probabilities", "svm_label"}
     assert set(payload["probabilities"]) == set(LABELS)
     assert abs(sum(payload["probabilities"].values()) - 1.0) < 1e-6
     assert payload["label"] == "class1"
+    assert payload["svm_label"] in LABELS
 
 
 def test_predict_deterministic(trained, capsys):
@@ -328,22 +334,26 @@ def test_predict_depends_on_neither_file_name_nor_seed(trained, tmp_path, capsys
 
 
 def test_predict_agrees_with_evaluate_on_the_test_split(trained, capsys):
-    """`predict` on a test document gives the probabilities `evaluate` scores:
-    the linear head on the vectors pooled from chunk_embeddings.tsv."""
+    """`predict` on a test document gives what `evaluate` scores on every head:
+    the linear head's probabilities and the SVM's label, on the vectors pooled
+    from chunk_embeddings.tsv."""
     _, config_path, config = trained
     run_dir = _run_dir(trained)
     test_ids = json.loads((run_dir / "split.json").read_text())["test"]
     aggregator = load_aggregator(run_dir / "aggregator.bin")
     pooled = document_vectors(aggregator, load_chunk_embeddings(run_dir / "chunk_embeddings.tsv",
                                                                 test_ids))
-    expected = aggregator.classify(np.stack([pooled[i] for i in test_ids]))
-    for doc_id, probs in zip(test_ids, expected, strict=True):
+    X = np.stack([pooled[i] for i in test_ids])
+    expected = aggregator.classify(X)
+    svm_labels = load_svm(run_dir / "svm.bin").predict(X)
+    for doc_id, probs, svm_label in zip(test_ids, expected, svm_labels, strict=True):
         document = Path(config["corpus"]["root"]) / f"{doc_id}.txt"
         assert main(["predict", "--config", str(config_path), str(document)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["label"] == aggregator.labels[int(probs.argmax())]
         got = np.array([payload["probabilities"][label] for label in aggregator.labels])
         assert np.abs(got - probs).max() <= 1e-12, doc_id
+        assert payload["svm_label"] == svm_label, doc_id
 
 
 def test_predict_oov_garbage_no_crash(trained, capsys):
@@ -581,6 +591,31 @@ def test_unfinished_run_exit_2(trained, capsys, command, damage):
         (run_dir / "INCOMPLETE").unlink(missing_ok=True)
     expected = tsv if damage != "incomplete" else run_dir / "INCOMPLETE"
     assert str(expected) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_evaluate_refuses_a_non_finite_chunk_vector(trained, capsys, value):
+    """A chunk vector of a scored document that holds NaN or an infinity is a
+    damaged run, not a document to label: exit 2, naming the file and document."""
+    _, config_path, _ = trained
+    run_dir = _run_dir(trained)
+    doc_id = json.loads((run_dir / "split.json").read_text())["test"][0]
+    tsv = run_dir / "chunk_embeddings.tsv"
+    good = tsv.read_text()
+    rows = []
+    for line in good.splitlines(keepends=True):
+        fields = line.rstrip("\n").split("\t")
+        if fields[0] == doc_id:
+            line = "\t".join(fields[:3] + [value] + fields[4:]) + "\n"
+        rows.append(line)
+    tsv.write_text("".join(rows))
+    try:
+        assert main(["evaluate", "--config", str(config_path), "--split", "test",
+                     "--classifier", "both"]) == 2
+    finally:
+        tsv.write_text(good)
+    err = capsys.readouterr().err
+    assert str(tsv) in err and doc_id in err and "run `train` again" in err
 
 
 def _eval_reports(run_dir):

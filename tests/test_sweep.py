@@ -32,7 +32,7 @@ def tiny_corpus_split():
 
 def test_single_n_benchmark_row(tiny_corpus_split):
     corpus, split = tiny_corpus_split
-    rows = run_chunk_sweep(corpus, split, [1], ["linear"], [0], TINY_SETTINGS)
+    rows = run_chunk_sweep(corpus, split, [1], "linear", [0], TINY_SETTINGS)
     assert len(rows) == 1
     row = rows[0]
     assert row.n_chunks == 1
@@ -50,7 +50,7 @@ def test_embedder_per_class_sets_the_embedder_sample(tiny_corpus_split):
 
 def test_both_classifiers_and_sorting(tiny_corpus_split):
     corpus, split = tiny_corpus_split
-    rows = run_chunk_sweep(corpus, split, [3, 1], ["linear", "svm"], [0], TINY_SETTINGS)
+    rows = run_chunk_sweep(corpus, split, [3, 1], "both", [0], TINY_SETTINGS)
     assert [(r.n_chunks, r.classifier) for r in rows] == [
         (1, "linear"), (1, "svm"), (3, "linear"), (3, "svm")
     ]
@@ -59,8 +59,8 @@ def test_both_classifiers_and_sorting(tiny_corpus_split):
 
 def test_sweep_deterministic(tiny_corpus_split):
     corpus, split = tiny_corpus_split
-    a = run_chunk_sweep(corpus, split, [1], ["linear"], [0, 1], TINY_SETTINGS)
-    b = run_chunk_sweep(corpus, split, [1], ["linear"], [0, 1], TINY_SETTINGS)
+    a = run_chunk_sweep(corpus, split, [1], "linear", [0, 1], TINY_SETTINGS)
+    b = run_chunk_sweep(corpus, split, [1], "linear", [0, 1], TINY_SETTINGS)
     assert a == b
     assert a[0].val_f1 != a[1].val_f1 or a[0].test_f1 != a[1].test_f1 or True
 
@@ -71,7 +71,7 @@ def test_failed_cell_recorded_not_raised(tiny_corpus_split):
         embedder=dataclasses.replace(TINY_SETTINGS.embedder, per_class=10_000),
         aggregator=TINY_SETTINGS.aggregator, svm=TINY_SETTINGS.svm,
     )
-    rows = run_chunk_sweep(corpus, split, [1, 3], ["linear"], [0], bad)
+    rows = run_chunk_sweep(corpus, split, [1, 3], "linear", [0], bad)
     assert len(rows) == 2
     assert all(r.failed for r in rows)
     assert all(math.isnan(r.val_f1) and math.isnan(r.test_f1) for r in rows)
@@ -80,7 +80,7 @@ def test_failed_cell_recorded_not_raised(tiny_corpus_split):
 
 def test_tsv_roundtrip_lossless(tmp_path, tiny_corpus_split):
     corpus, split = tiny_corpus_split
-    rows = run_chunk_sweep(corpus, split, [1, 3], ["linear"], [0], TINY_SETTINGS)
+    rows = run_chunk_sweep(corpus, split, [1, 3], "linear", [0], TINY_SETTINGS)
     path = tmp_path / "sweep.tsv"
     write_sweep_tsv(rows, path)
     header, *lines = path.read_text().splitlines()
@@ -118,4 +118,21 @@ def test_programming_error_in_cell_propagates(tiny_corpus_split, monkeypatch):
     monkeypatch.setattr("chunkdoc.sweep.train_pipeline", broken)
     corpus, split = tiny_corpus_split
     with pytest.raises(TypeError, match="bug"):
-        run_chunk_sweep(corpus, split, [1], ["linear"], [0], TINY_SETTINGS)
+        run_chunk_sweep(corpus, split, [1], "linear", [0], TINY_SETTINGS)
+
+
+def test_unknown_classifier_raises_before_any_cell(tiny_corpus_split, monkeypatch):
+    calls = []
+    monkeypatch.setattr("chunkdoc.sweep.train_pipeline", lambda *a, **k: calls.append(a))
+    corpus, split = tiny_corpus_split
+    with pytest.raises(KeyError, match="bogus"):
+        run_chunk_sweep(corpus, split, [1], "bogus", [0], TINY_SETTINGS)
+    assert calls == []
+
+
+def test_svm_setting_trains_and_scores_only_the_svm_head(tiny_corpus_split):
+    corpus, split = tiny_corpus_split
+    svm_rows = run_chunk_sweep(corpus, split, [1], "svm", [0], TINY_SETTINGS)
+    both_rows = run_chunk_sweep(corpus, split, [1], "both", [0], TINY_SETTINGS)
+    assert [r.classifier for r in svm_rows] == ["svm"]
+    assert svm_rows == [r for r in both_rows if r.classifier == "svm"]
