@@ -2,6 +2,11 @@
 
 Corpus layout on disk is one subdirectory per label, each holding UTF-8
 plain-text files: ``<root>/<label>/<doc_id>.txt``.
+
+A token is a maximal run of characters for which `str.isalnum()` holds, taken
+from the text after `str.lower()`; `_` and every other character separate
+tokens. ASCII text is split by one `str.translate` and `str.split`, other text
+by a Unicode regex, with the same tokens either way.
 """
 
 from __future__ import annotations
@@ -25,16 +30,28 @@ DEFAULT_HEADER_LABELS = frozenset({"10-K", "10-Q"})
 HEADER_LINES = 6
 
 # Maximal runs of (unicode) alphanumerics; underscore and everything else
-# separate tokens.
+# separate tokens. `[^\W_]` matches exactly the characters for which
+# `str.isalnum()` holds.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# Every ASCII character that is not alphanumeric becomes a space, so that
+# `str.split()` yields the same runs on ASCII text as `_TOKEN_RE`.
+_ASCII_SEPARATORS = str.maketrans({chr(c): " " for c in range(128) if not chr(c).isalnum()})
 # Sentence boundary heuristic for corpus statistics only: terminal
 # punctuation followed by whitespace or end of text.
 _SENTENCE_RE = re.compile(r"[.!?](?=\s|$)")
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split into maximal alphanumeric runs."""
-    return _TOKEN_RE.findall(text.lower())
+    """The maximal runs of `str.isalnum()` characters of `text.lower()`.
+
+    Lowercased text that is all ASCII takes the faster `str.translate` path,
+    which maps every ASCII non-alphanumeric character to a space and splits
+    on whitespace; other text takes `_TOKEN_RE`.
+    """
+    lowered = text.lower()
+    if lowered.isascii():
+        return lowered.translate(_ASCII_SEPARATORS).split()
+    return _TOKEN_RE.findall(lowered)
 
 
 def strip_boilerplate(

@@ -25,6 +25,7 @@ training chunks' paragraph rows `P` are training state and are not saved.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import zlib
 from collections import Counter
@@ -112,8 +113,9 @@ class Vocabulary:
         return word in self.index
 
     def encode(self, tokens) -> np.ndarray:
-        """In-vocabulary token ids in document order; OOV tokens are dropped."""
-        return np.array([self.index[t] for t in tokens if t in self.index], dtype=np.int64)
+        """In-vocabulary token ids in document order, as int64; OOV tokens are dropped."""
+        ids = np.fromiter(map(self.index.get, tokens, itertools.repeat(-1)), np.int64, len(tokens))
+        return ids[ids >= 0]
 
     def noise_ids(self, u: np.ndarray) -> np.ndarray:
         """`searchsorted(noise_cdf, u)` for u in [0, 1), as int64, by the guide
@@ -181,7 +183,7 @@ class PVDMModel:
 
     def check_finite(self) -> None:
         for name, arr in (("W_in", self.W_in), ("W_out", self.W_out), ("P", self.P)):
-            if not np.isfinite(arr).all():
+            if arr is not None and not np.isfinite(arr).all():
                 raise TrainingError(f"non-finite values in {name}; lower the learning rate")
 
 
@@ -442,7 +444,7 @@ def embed_corpus(
     model: PVDMModel,
     corpus: Corpus,
     n_chunks: int,
-    steps: int = 50,
+    steps: int = _NEWTON_STEPS,
     seed: int = 0,
     alpha: float = 0.025,
     min_alpha: float = 0.0001,
@@ -500,7 +502,11 @@ def save_pvdm(model: PVDMModel, path) -> None:
 
 def load_pvdm(path) -> PVDMModel:
     """The inference model `save_pvdm` wrote, with `P` None. A file without one
-    of its fields (one written before `infer_steps` was saved, say) raises KeyError."""
+    of its fields (one written before `infer_steps` was saved, say) raises
+    KeyError; a NaN or infinite value in `W_in` or `W_out` raises ValueError."""
     h, a = checkpoint.load(path, "pvdm")
+    for name in ("W_in", "W_out"):
+        if not np.isfinite(a[name]).all():
+            raise ValueError(f"{name} holds non-finite values")
     vocab = Vocabulary(h["words"], a["counts"], h["noise_exponent"])
     return PVDMModel(vocab, h["window"], h["negative"], h["infer_steps"], a["W_in"], a["W_out"])

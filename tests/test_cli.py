@@ -380,6 +380,27 @@ def test_file_name_not_utf8_is_skipped_by_prepare_and_read_by_predict(workspace,
     assert set(payload["probabilities"]) == set(LABELS)
 
 
+def test_predict_non_finite_pvdm_bin_exit_2(trained, capsys):
+    """A pvdm.bin whose word matrix holds NaN would print NaN probabilities;
+    `predict` refuses it and names the file."""
+    _, config_path, config = trained
+    path = _run_dir(trained) / "pvdm.bin"
+    saved = path.read_bytes()
+    header, arrays = checkpoint.load(path, "pvdm")
+    arrays = {k: np.array(v) for k, v in arrays.items()}
+    arrays["W_in"][0, 0] = np.nan
+    checkpoint.save(path, "pvdm", header, arrays)
+    document = Path(config["corpus"]["root"]) / "class0" / "doc0001.txt"
+    capsys.readouterr()
+    try:
+        assert main(["predict", "--config", str(config_path), str(document)]) == 2
+    finally:  # the run is shared with the other tests of this module
+        path.write_bytes(saved)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(path) in captured.err and "W_in holds non-finite values" in captured.err
+
+
 def test_predict_empty_document_exit_3(trained, capsys):
     tmp_path, config_path, _ = trained
     empty = tmp_path / "empty.txt"

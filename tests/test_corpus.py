@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 
@@ -29,6 +30,36 @@ def test_tokenize_hyphen_splits():
 
 def test_tokenize_underscore_is_separator():
     assert tokenize("a_b") == ["a", "b"]
+
+
+def _alnum_runs(text):
+    """The token definition, without the regex: maximal runs of `str.isalnum()`
+    characters of the lowercased text."""
+    return ["".join(run) for alnum, run in itertools.groupby(text.lower(), str.isalnum) if alnum]
+
+
+# Characters where an ASCII fast path and the Unicode definition could part:
+# ASCII punctuation, controls and `_`; non-ASCII spaces and punctuation (NBSP,
+# U+2028, section sign, em dash, right quote); the Kelvin sign, which
+# lowercases to ASCII "k"; dotted capital I, whose lowercase carries the
+# non-alphanumeric U+0307; and non-ASCII digits.
+_EDGE_CHARS = ([chr(c) for c in range(128) if not chr(c).isalnum()]
+               + list("aZ09") + ["\u00a0", "\u2028", "\u00a7", "\u2014", "\u2019",
+                                 "\u212a", "\u0130", "\u00b2", "\u0663", "\u0669"])
+
+
+@given(st.text(max_size=200) | st.text(st.sampled_from(_EDGE_CHARS), max_size=60))
+@settings(max_examples=400, deadline=None)
+def test_tokenize_is_the_alnum_runs_of_the_lowercased_text(text):
+    assert tokenize(text) == _alnum_runs(text)
+
+
+def test_tokenize_edge_characters():
+    assert tokenize("\u212aelvin") == ["kelvin"]  # the Kelvin sign lowercases to ASCII k
+    assert tokenize("\u0130stanbul") == ["i", "stanbul"]  # U+0307 separates
+    assert tokenize("x\u00b2 \u0663\u0664 a\u00a0b \u00a7 7\u2014c\u2019d") == [
+        "x\u00b2", "\u0663\u0664", "a", "b", "7", "c", "d"]
+    assert tokenize("A_b\x00c\x1fd\x7fe") == ["a", "b", "c", "d", "e"]
 
 
 @given(st.text(max_size=200))
@@ -137,6 +168,21 @@ def test_load_unknown_label_directory(corpus_dir):
 def test_load_missing_label_directory(corpus_dir):
     with pytest.raises(ConfigError, match="gamma"):
         load_corpus(corpus_dir, LabelSet(["alpha", "beta", "gamma"]))
+
+
+def test_load_tokens_of_ascii_and_non_ascii_files(corpus_dir):
+    """Both tokenizer paths in one tree: each document's tokens are the
+    alphanumeric runs of its lowercased text."""
+    texts = {"alpha/plain.txt": "Section 10-K: NET_INCOME rose 5%.\n",
+             "alpha/unicode.txt": "Net income\u00a0rose \u00a7 5\u2014\u212aelvin caf\u00e9 \u0130\n",
+             "beta/symbols.txt": "\u2028\u00b2 only\u2019s \u0663\u0664"}
+    for name, text in texts.items():
+        (corpus_dir / name).write_text(text, encoding="utf-8")
+    corpus = load_corpus(corpus_dir, LabelSet(["alpha", "beta"]))
+    assert len(corpus) == 9
+    assert corpus.get("alpha/plain").tokens == ("section", "10", "k", "net", "income", "rose", "5")
+    for doc in corpus:
+        assert list(doc.tokens) == _alnum_runs(doc.raw_text)
 
 
 def test_document_tokens_reproducible_from_raw(corpus_dir):

@@ -21,7 +21,7 @@ from chunkdoc.embedder import (EmbedderConfig, Vocabulary, build_vocab,
                                infer_vector, load_chunk_embeddings, load_pvdm,
                                sample_embedding_training_docs, save_pvdm, train_pvdm)
 from chunkdoc.corpus import split_dataset
-from chunkdoc.errors import DataError, OOVChunkError
+from chunkdoc.errors import DataError, OOVChunkError, TrainingError
 from chunkdoc.synthetic import SyntheticSpec, generate_synthetic_corpus
 
 
@@ -139,6 +139,19 @@ def test_encode_drops_oov_preserves_order():
     vocab = build_vocab(_chunks_from_texts(["a a b b"]), min_count=2)
     ids = vocab.encode(["b", "zzz", "a", "b"])
     assert [vocab.words[i] for i in ids] == ["b", "a", "b"]
+
+
+@given(st.lists(st.sampled_from(["a", "b", "c", "zzz", "", "A", "b "]), max_size=60))
+@settings(max_examples=200, deadline=None)
+def test_encode_matches_the_list_comprehension(tokens):
+    """The same ids as the per-token loop it replaced: same order, int64, OOV
+    tokens dropped, an empty int64 array for no tokens."""
+    vocab = build_vocab(_chunks_from_texts(["a a b b c"]), min_count=1)
+    expected = np.array([vocab.index[t] for t in tokens if t in vocab.index], dtype=np.int64)
+    for seq in (tokens, tuple(tokens)):
+        ids = vocab.encode(seq)
+        assert ids.dtype == np.int64 and ids.shape == expected.shape
+        assert np.array_equal(ids, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -734,6 +747,36 @@ def test_checkpoint_roundtrip_bit_exact(two_topic_model, tmp_path):
     second = tmp_path / "model2.bin"
     save_pvdm(loaded, second)
     assert second.read_bytes() == path.read_bytes()
+
+
+def test_check_finite_on_a_loaded_model(two_topic_model, tmp_path):
+    """A loaded model has no `P`: its word matrices alone are checked."""
+    model, _ = two_topic_model
+    save_pvdm(model, tmp_path / "model.bin")
+    loaded = load_pvdm(tmp_path / "model.bin")
+    loaded.check_finite()
+    loaded.W_out = loaded.W_out.copy()
+    loaded.W_out[0, 0] = np.nan
+    with pytest.raises(TrainingError, match="W_out"):
+        loaded.check_finite()
+    trained = copy.copy(model)
+    trained.P = model.P.copy()
+    trained.P[-1, -1] = np.inf
+    with pytest.raises(TrainingError, match="P"):
+        trained.check_finite()
+
+
+@pytest.mark.parametrize("name,value", [("W_in", np.nan), ("W_out", -np.inf)])
+def test_load_pvdm_refuses_non_finite_word_matrices(two_topic_model, tmp_path, name, value):
+    model, _ = two_topic_model
+    path = tmp_path / "model.bin"
+    save_pvdm(model, path)
+    header, arrays = checkpoint.load(path, "pvdm")
+    arrays = {k: np.array(v) for k, v in arrays.items()}
+    arrays[name][1, 2] = value
+    checkpoint.save(path, "pvdm", header, arrays)
+    with pytest.raises(ValueError, match=f"{name} holds non-finite values"):
+        load_pvdm(path)
 
 
 def test_checkpoint_roundtrip_preserves_inference(two_topic_model, tmp_path):
