@@ -39,6 +39,13 @@ _ASCII_SEPARATORS = str.maketrans({chr(c): " " for c in range(128) if not chr(c)
 # Sentence boundary heuristic for corpus statistics only: terminal
 # punctuation followed by whitespace or end of text.
 _SENTENCE_RE = re.compile(r"[.!?](?=\s|$)")
+# Every ASCII character reduced to its role in a sentence: "a" for a token
+# character, "." for terminal punctuation, " " for whitespace (as `str.isspace()`
+# and the regex's `\s` define it, `\v`, `\f` and `\x1c`-`\x1f` included) and
+# "_" for anything else. A boundary is then the two characters ". ".
+_ASCII_SENTENCE_ROLES = str.maketrans({
+    ch: "a" if ch.isalnum() else "." if ch in ".!?" else " " if ch.isspace() else "_"
+    for ch in map(chr, range(128))})
 
 
 def tokenize(text: str) -> list[str]:
@@ -71,8 +78,17 @@ def strip_boilerplate(
 
 
 def _sentence_count(text: str) -> int:
-    # Count only segments that carry at least one token, so that a document
-    # never has more sentences than words.
+    """The number of sentences of `text`: pieces between `.`, `!` or `?`
+    characters followed by whitespace or the end of the text, counted when they
+    hold a token, so that a document never has more sentences than words.
+
+    ASCII text takes the faster `str.translate` path: `_ASCII_SENTENCE_ROLES`
+    maps it to roles, and the pieces between ". " holding an "a" are counted.
+    A final terminal character needs no boundary there, since the piece it
+    would split off is empty. Other text takes `_SENTENCE_RE` and `_TOKEN_RE`.
+    """
+    if text.isascii():
+        return sum("a" in piece for piece in text.translate(_ASCII_SENTENCE_ROLES).split(". "))
     return sum(1 for seg in _SENTENCE_RE.split(text) if _TOKEN_RE.search(seg))
 
 
@@ -320,8 +336,11 @@ def corpus_stats(
 ) -> CorpusStats:
     """Per-label document count, mean words, and mean sentences.
 
-    Sentences are counted on the same stripped text the tokens come from,
-    using the terminal-punctuation heuristic; they feed reporting only.
+    Sentences are counted on the same stripped text the tokens come from; they
+    feed reporting only. A sentence is a piece of text between `.`, `!` or `?`
+    characters that are followed by whitespace or the end of the text, counted
+    when it holds a token; `_sentence_count` counts ASCII text by
+    `str.translate` and other text by regex, with the same count either way.
     """
     rows = []
     for label in corpus.label_set:

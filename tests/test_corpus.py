@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chunkdoc.corpus import (DatasetSplit, LabelSet, corpus_stats, load_corpus,
-                             split_dataset, strip_boilerplate, tokenize)
+from chunkdoc.cli import main
+from chunkdoc.corpus import (_SENTENCE_RE, _TOKEN_RE, DatasetSplit, LabelSet, _sentence_count,
+                             corpus_stats, load_corpus, split_dataset, strip_boilerplate,
+                             tokenize)
 from chunkdoc.errors import ConfigError, DataError
 from chunkdoc.synthetic import SyntheticSpec, generate_synthetic_corpus
 
@@ -298,6 +300,65 @@ def test_stats_sentence_heuristic():
     row = {r.label: r for r in stats.rows}
     assert row["x"].mean_sentences == 3.0
     assert row["y"].mean_sentences == 1.0
+    for text, sentences in [("Yes! No? Maybe.", 3), ("a.", 1), ("a. b.", 2), ("a.. b", 2),
+                            ("a. . b", 2), ("a.b. c", 2), ("a!\x1cb", 2), ("a?\vb", 2),
+                            ("a._b", 1), ("a. _ . b", 2), ("...", 0), ("", 0)]:
+        assert _sentence_count(text) == sentences, text
+
+
+def _regex_sentence_count(text):
+    """The sentence definition, by regex alone: the pieces between terminal
+    punctuation followed by whitespace or end of text that hold a token."""
+    return sum(1 for seg in _SENTENCE_RE.split(text) if _TOKEN_RE.search(seg))
+
+
+# Every ASCII character, with terminal punctuation and whitespace drawn more
+# often so that boundaries are common; and non-ASCII spaces (NBSP, U+0085,
+# U+2028) and letters and punctuation (e acute, right quote) for the regex path.
+_ASCII_CHARS = st.sampled_from([chr(c) for c in range(128)])
+_BOUNDARY_CHARS = st.sampled_from(list(".!? \t\n\v\f\r\x1c\x1d\x1e\x1f"))
+_MIXED_CHARS = st.sampled_from(list("a1_.!? \n\x1c\u00a0\u0085\u2028\u00e9\u2019"))
+
+
+@given(st.text(st.one_of(_ASCII_CHARS, _BOUNDARY_CHARS), max_size=80)
+       | st.text(_MIXED_CHARS, max_size=60))
+@settings(max_examples=500, deadline=None)
+def test_sentence_count_is_the_regex_definition(text):
+    assert _sentence_count(text) == _regex_sentence_count(text)
+
+
+def test_prepare_counts_sentences_of_ascii_and_non_ascii_files(tmp_path):
+    """Both sentence-count paths in one `prepare`: each label's mean sentences
+    in stats.json is the regex definition applied to its documents'
+    header-stripped text, whose 10-K header lines hold punctuation of their own."""
+    header = "".join(f"Header line {i}. Filed! Form 10-K?\n" for i in range(6))
+    texts = {"10-K/ascii.txt": header + "Net income rose. Did it? Yes!\x1cCosts fell..\vEnd.",
+             "10-K/unicode.txt": header + "Caf\u00e9 sales rose.\u00a0Margins held?\u2028Done.",
+             "10-K/flat.txt": header + "no terminal punctuation here",
+             "memo/ascii.txt": "One. Two! Three? Four. _ .",
+             "memo/unicode.txt": "Na\u00efve. Sure.\u0085Next \u2019.",
+             "memo/bare.txt": "Just words. Fine"}
+    for name, text in texts.items():
+        path = tmp_path / "corpus" / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    config = {"corpus": {"root": str(tmp_path / "corpus"), "labels": ["10-K", "memo"]},
+              "output_dir": str(tmp_path / "runs"), "run_name": "t"}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["prepare", "--config", str(config_path)]) == 0
+
+    stats = json.loads((tmp_path / "runs" / "t" / "stats.json").read_text(encoding="utf-8"))
+    means = {row["label"]: row["mean_sentences"] for row in stats["per_label"]}
+    expected = {}
+    for label in ("10-K", "memo"):
+        counts = [_regex_sentence_count(strip_boilerplate(text, label))
+                  for name, text in texts.items() if name.startswith(label + "/")]
+        expected[label] = sum(counts) / len(counts)
+    assert means == expected == {"10-K": 3.0, "memo": 3.0}
+    assert strip_boilerplate(texts["10-K/ascii.txt"], "10-K").isascii()
+    assert not strip_boilerplate(texts["10-K/unicode.txt"], "10-K").isascii()
+    assert _regex_sentence_count(texts["10-K/flat.txt"]) == 19  # the header would count
 
 
 def test_stats_words_at_least_sentences():
