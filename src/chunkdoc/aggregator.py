@@ -52,6 +52,7 @@ class AggregatorConfig:
     adam_epsilon: ClassVar[float] = 1e-8
 
 
+@np.errstate(over="ignore")  # exp(-x) overflows to inf: sigmoid 0, exactly
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import Corpus, Document
+from .corpus import Corpus, Document, tokenize
 from .errors import DataError
 
 
@@ -61,6 +61,5 @@ def mean_words_per_chunk(corpus: Corpus, n: int) -> float:
     """Total tokens divided by total chunks across the corpus (the W_c column)."""
     if len(corpus) == 0:
         raise DataError("empty corpus")
-    total_tokens = sum(len(d.tokens) for d in corpus)
-    total_chunks = sum(min(n, len(d.tokens)) for d in corpus)
-    return total_tokens / total_chunks
+    lengths = [len(tokenize(d.text)) for d in corpus]
+    return sum(lengths) / sum(min(n, k) for k in lengths)

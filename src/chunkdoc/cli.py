@@ -185,7 +185,7 @@ def cmd_prepare(args) -> int:
         else:
             _write_resolved(config)
         split.save(run_dir / "split.json")
-        stats = corpus_stats(corpus, config.header_labels())
+        stats = corpus_stats(corpus)
         atomic_write(run_dir / "stats.txt", stats.format_table() + "\n")
         atomic_write(run_dir / "stats.json", json.dumps(stats.to_dict(), indent=2) + "\n")
         print(stats.format_table())

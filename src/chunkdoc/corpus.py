@@ -6,7 +6,8 @@ plain-text files: ``<root>/<label>/<doc_id>.txt``.
 A token is a maximal run of characters for which `str.isalnum()` holds, taken
 from the text after `str.lower()`; `_` and every other character separate
 tokens. ASCII text is split by one `str.translate` and `str.split`, other text
-by a Unicode regex, with the same tokens either way.
+by a Unicode regex, with the same tokens either way. A loaded corpus holds
+text, not tokens: they are made where they are used, one document at a time.
 """
 
 from __future__ import annotations
@@ -94,12 +95,18 @@ def _sentence_count(text: str) -> int:
 
 @dataclass(frozen=True)
 class Document:
-    """One labeled text file: raw content plus its normalized token stream."""
+    """One labeled text file: `raw_text` as read, and `text`, the header-stripped
+    text its `tokens` are made from on each read (the same object as `raw_text`
+    when nothing was stripped)."""
 
     id: str
     label: str
     raw_text: str
-    tokens: tuple[str, ...]
+    text: str
+
+    @property
+    def tokens(self) -> tuple[str, ...]:
+        return tuple(tokenize(self.text))
 
 
 class LabelSet:
@@ -206,11 +213,11 @@ def load_corpus(
             except (OSError, UnicodeDecodeError) as exc:
                 print(f"skipped {path}: unreadable: {exc}", file=sys.stderr)
                 continue
-            tokens = tokenize(strip_boilerplate(raw, label, header_labels))
-            if not tokens:
+            text = strip_boilerplate(raw, label, header_labels)
+            if not _TOKEN_RE.search(text.lower()):  # the same test as `not tokenize(text)`
                 print(f"skipped {path}: no tokens after preprocessing", file=sys.stderr)
                 continue
-            documents.append(Document(id=doc_id, label=label, raw_text=raw, tokens=tuple(tokens)))
+            documents.append(Document(id=doc_id, label=label, raw_text=raw, text=text))
     documents.sort(key=lambda d: d.id)
     return Corpus(documents=documents, label_set=label_set)
 
@@ -331,12 +338,10 @@ class CorpusStats:
         }
 
 
-def corpus_stats(
-    corpus: Corpus, header_labels: frozenset[str] = DEFAULT_HEADER_LABELS
-) -> CorpusStats:
+def corpus_stats(corpus: Corpus) -> CorpusStats:
     """Per-label document count, mean words, and mean sentences.
 
-    Sentences are counted on the same stripped text the tokens come from; they
+    Sentences are counted on `Document.text`, the text the tokens come from; they
     feed reporting only. A sentence is a piece of text between `.`, `!` or `?`
     characters that are followed by whitespace or the end of the text, counted
     when it holds a token; `_sentence_count` counts ASCII text by
@@ -347,8 +352,8 @@ def corpus_stats(
         docs = corpus.by_label(label)
         if not docs:
             continue
-        words = [len(d.tokens) for d in docs]
-        sents = [_sentence_count(strip_boilerplate(d.raw_text, d.label, header_labels)) for d in docs]
+        words = [len(tokenize(d.text)) for d in docs]
+        sents = [_sentence_count(d.text) for d in docs]
         rows.append(
             LabelStats(
                 label=label,

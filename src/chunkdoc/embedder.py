@@ -29,6 +29,7 @@ import itertools
 import logging
 import zlib
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,6 +232,7 @@ def _length_groups(lengths: np.ndarray, max_cells: int) -> list[np.ndarray]:
     return groups
 
 
+@np.errstate(over="ignore")  # float32 exp(-s) overflows to inf below s = -88.7: sigmoid 0
 def _train_group(model: PVDMModel, rows: np.ndarray, ids_pad: np.ndarray, active: np.ndarray,
                  negs: np.ndarray, alphas: np.ndarray) -> float:
     """One lockstep epoch over the chunks `rows` (rows of `P`, their padded ids
@@ -320,6 +322,7 @@ def train_pvdm(
     return model
 
 
+@np.errstate(over="ignore")  # exp(-s) overflows to inf: sigmoid 0, exactly
 def _infer_chunk(model: PVDMModel, ids: np.ndarray, steps: int) -> np.ndarray:
     """A chunk's paragraph vector by a Newton solve of the frozen PV-DM objective.
 
@@ -415,8 +418,8 @@ class ChunkEmbedding:
     vector: np.ndarray  # (dim,) float32
 
 
-def embed_chunks(model: PVDMModel, chunks: list[Chunk], steps: int) -> list[ChunkEmbedding]:
-    """Embed `chunks`, returning one embedding per chunk in input order.
+def embed_chunks(model: PVDMModel, chunks: Iterable[Chunk], steps: int) -> list[ChunkEmbedding]:
+    """Embed `chunks`, read once, returning one embedding per chunk in input order.
 
     Chunks with no in-vocabulary tokens get the zero vector and a logged
     warning. The rest are solved one at a time (`_infer_chunk`), each from
@@ -451,9 +454,10 @@ def embed_corpus(
 ) -> dict[str, list[ChunkEmbedding]]:
     """Embed every chunk of every document by the Newton solve, ordered by
     chunk index (see `embed_chunks`), so results do not depend on corpus
-    composition.
+    composition. Documents are chunked as the solve reaches them, so one
+    document's tokens are alive at a time.
     `seed`, `alpha` and `min_alpha` are not read; perfbench/replay.py still passes them."""
-    chunks = [c for doc in corpus for c in chunk_document(doc, n_chunks)]
+    chunks = (c for doc in corpus for c in chunk_document(doc, n_chunks))
     out: dict[str, list[ChunkEmbedding]] = {doc.id: [] for doc in corpus}
     for emb in embed_chunks(model, chunks, steps):
         out[emb.doc_id].append(emb)

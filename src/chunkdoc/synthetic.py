@@ -43,10 +43,9 @@ class SyntheticSpec:
 def generate_synthetic_corpus(spec: SyntheticSpec, seed: int) -> Corpus:
     rng = np.random.default_rng(seed)
     labels = [f"{spec.label_prefix}{k}" for k in range(spec.n_classes)]
-    filler = [f"f{j:04d}" for j in range(spec.filler_vocab_size)]
-    class_words = [
-        [f"c{k}w{j:03d}" for j in range(spec.class_vocab_size)] for k in range(spec.n_classes)
-    ]
+    filler = np.array([f"f{j:04d}" for j in range(spec.filler_vocab_size)], dtype=object)
+    class_words = [np.array([f"c{k}w{j:03d}" for j in range(spec.class_vocab_size)], dtype=object)
+                   for k in range(spec.n_classes)]
     L = spec.doc_length
     documents = []
     for k, label in enumerate(labels):
@@ -58,24 +57,15 @@ def generate_synthetic_corpus(spec: SyntheticSpec, seed: int) -> Corpus:
                     np.full(spec.filler_vocab_size, spec.filler_concentration)
                 )
                 filler_ids = rng.choice(spec.filler_vocab_size, size=L, p=weights)
-            tokens = [filler[j] for j in filler_ids]
+            tokens = filler[filler_ids]
             if spec.mode == "global":
                 is_signal = rng.random(L) < spec.signal_rate
                 signal_ids = rng.integers(0, spec.class_vocab_size, L)
-                for i in np.flatnonzero(is_signal):
-                    tokens[i] = class_words[k][signal_ids[i]]
+                tokens[is_signal] = class_words[k][signal_ids[is_signal]]
             else:
                 span = int(np.ceil(spec.span_fraction * L))
                 start = int(rng.integers(0, L - span + 1))
-                signal_ids = rng.integers(0, spec.class_vocab_size, span)
-                for off in range(span):
-                    tokens[start + off] = class_words[k][signal_ids[off]]
-            documents.append(
-                Document(
-                    id=f"{label}/doc{d:04d}",
-                    label=label,
-                    raw_text=" ".join(tokens),
-                    tokens=tuple(tokens),
-                )
-            )
+                tokens[start:start + span] = class_words[k][rng.integers(0, spec.class_vocab_size, span)]
+            text = " ".join(tokens)
+            documents.append(Document(id=f"{label}/doc{d:04d}", label=label, raw_text=text, text=text))
     return Corpus(documents=documents, label_set=LabelSet(labels))

@@ -10,7 +10,7 @@ from chunkdoc.aggregator import (PARAM_ORDER, AdamState, AggregatorConfig, Aggre
                                  collate, cross_entropy, document_vectors,
                                  forward_batch, init_params, load_aggregator,
                                  lstm_direction_forward, save_aggregator, softmax,
-                                 train_aggregator, _f64)
+                                 train_aggregator, _f64, _sigmoid)
 from chunkdoc.corpus import Corpus, DatasetSplit, Document, LabelSet
 from chunkdoc.embedder import ChunkEmbedding
 from chunkdoc.errors import DataError
@@ -356,6 +356,12 @@ def test_softmax_stable_at_extreme_scale():
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
 
+def test_sigmoid_saturates_without_an_overflow_warning():
+    """exp(1000) overflows to inf, so the gate is exactly 0; the suite turns
+    the overflow warning into an error, so it must not be raised."""
+    assert np.array_equal(_sigmoid(np.array([-1000.0, 1000.0])), [0.0, 1.0])
+
+
 # ---------------------------------------------------------------------------
 # gradients (the keystone)
 
@@ -513,8 +519,8 @@ def _gaussian_embedded_corpus(n_per_class=30, n_chunks=3, dim=12, n_classes=3, s
     for c in range(n_classes):
         for i in range(n_per_class):
             doc_id = f"{labels[c]}/doc{i:03d}"
-            tokens = tuple(f"w{j}" for j in range(n_chunks))
-            docs.append(Document(doc_id, labels[c], " ".join(tokens), tokens))
+            text = " ".join(f"w{j}" for j in range(n_chunks))
+            docs.append(Document(doc_id, labels[c], text, text))
             embeddings[doc_id] = [
                 ChunkEmbedding(doc_id, t + 1,
                                (centers[c] + 0.3 * rng.standard_normal(dim)).astype(np.float32))

@@ -79,11 +79,9 @@ def test_partition_random_cases_bulk():
 
 
 def _corpus_of_lengths(lengths):
-    docs = [
-        Document(f"x/d{i}", "x" if i % 2 == 0 else "y",
-                 " ".join(_tokens(n)), tuple(_tokens(n)))
-        for i, n in enumerate(lengths)
-    ]
+    texts = [" ".join(_tokens(n)) for n in lengths]
+    docs = [Document(f"x/d{i}", "x" if i % 2 == 0 else "y", text, text)
+            for i, text in enumerate(texts)]
     return Corpus(docs, LabelSet(["x", "y"]))
 
 

@@ -1,6 +1,10 @@
 import itertools
 import json
 import os
+import sys
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from chunkdoc.corpus import (_SENTENCE_RE, _TOKEN_RE, DatasetSplit, LabelSet, _s
                              tokenize)
 from chunkdoc.errors import ConfigError, DataError
 from chunkdoc.synthetic import SyntheticSpec, generate_synthetic_corpus
+from helpers import write_corpus_tree
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +55,10 @@ _EDGE_CHARS = ([chr(c) for c in range(128) if not chr(c).isalnum()]
                                  "\u212a", "\u0130", "\u00b2", "\u0663", "\u0669"])
 
 
-@given(st.text(max_size=200) | st.text(st.sampled_from(_EDGE_CHARS), max_size=60))
+_TEXTS = st.text(max_size=200) | st.text(st.sampled_from(_EDGE_CHARS), max_size=60)
+
+
+@given(_TEXTS)
 @settings(max_examples=400, deadline=None)
 def test_tokenize_is_the_alnum_runs_of_the_lowercased_text(text):
     assert tokenize(text) == _alnum_runs(text)
@@ -193,6 +201,42 @@ def test_document_tokens_reproducible_from_raw(corpus_dir):
         assert doc.tokens == tuple(tokenize(strip_boilerplate(doc.raw_text, doc.label)))
 
 
+@given(st.lists(_TEXTS, max_size=9).map("\n".join))
+@settings(max_examples=150, deadline=None)
+def test_load_keeps_a_file_exactly_when_its_stripped_text_has_tokens(content):
+    """The load-time check finds a token without tokenizing: it keeps a file
+    exactly when `tokenize` of its stripped text is non-empty, on a label
+    whose header lines are stripped and on one whose are not."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for label in ("10-K", "memo"):
+            (root / label).mkdir()
+            (root / label / "doc.txt").write_text(content, encoding="utf-8")
+        raw = (root / "memo" / "doc.txt").read_text(encoding="utf-8")  # newlines as read back
+        corpus = load_corpus(root, LabelSet(["10-K", "memo"]))
+    expected = {f"{label}/doc": strip_boilerplate(raw, label) for label in ("10-K", "memo")}
+    assert {d.id: d.text for d in corpus} == {i: t for i, t in expected.items() if tokenize(t)}
+    for doc in corpus:
+        assert doc.raw_text == raw
+        assert (doc.text is doc.raw_text) == (doc.label == "memo")
+
+
+def test_loaded_corpus_costs_its_text_plus_a_fixed_allowance_per_document(tmp_path):
+    """A loaded document holds its text, not one string per token: loading 16
+    documents of 20,000 tokens allocates at most their text plus 2 KB each,
+    and twice the longest document for the file being read."""
+    write_corpus_tree(tmp_path, SyntheticSpec(n_classes=2, docs_per_class=8, doc_length=20_000))
+    tracemalloc.start()
+    try:
+        corpus = load_corpus(tmp_path, LabelSet(["class0", "class1"]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    texts = [sys.getsizeof(d.raw_text) for d in corpus]
+    assert len(texts) == 16
+    assert peak <= sum(texts) + 2048 * len(texts) + 2 * max(texts)
+
+
 # ---------------------------------------------------------------------------
 # split_dataset
 
@@ -280,11 +324,8 @@ def test_manifest_roundtrip_bytes(tmp_path):
 def test_stats_mean_words(corpus_dir, tmp_path):
     from chunkdoc.corpus import Corpus, Document
 
-    docs = [
-        Document("x/a", "x", " ".join(["w"] * 10), tuple(["w"] * 10)),
-        Document("x/b", "x", " ".join(["w"] * 20), tuple(["w"] * 20)),
-        Document("y/a", "y", "one two", ("one", "two")),
-    ]
+    texts = {"x/a": " ".join(["w"] * 10), "x/b": " ".join(["w"] * 20), "y/a": "one two"}
+    docs = [Document(doc_id, doc_id[0], text, text) for doc_id, text in texts.items()]
     stats = corpus_stats(Corpus(docs, LabelSet(["x", "y"])))
     row = {r.label: r for r in stats.rows}
     assert row["x"].mean_words == 15.0
@@ -294,8 +335,8 @@ def test_stats_mean_words(corpus_dir, tmp_path):
 def test_stats_sentence_heuristic():
     from chunkdoc.corpus import Corpus, Document
 
-    doc = Document("x/a", "x", "a. b. c.", ("a", "b", "c"))
-    other = Document("y/a", "y", "no terminal punctuation", ("no", "terminal", "punctuation"))
+    doc = Document("x/a", "x", "a. b. c.", "a. b. c.")
+    other = Document("y/a", "y", "no terminal punctuation", "no terminal punctuation")
     stats = corpus_stats(Corpus([doc, other], LabelSet(["x", "y"])))
     row = {r.label: r for r in stats.rows}
     assert row["x"].mean_sentences == 3.0

@@ -608,6 +608,36 @@ def test_infer_deterministic(two_topic_model):
     assert np.array_equal(a, b)
 
 
+def _saturated_model():
+    """A hand-built model whose word weights of +-30 put the scores far past
+    the range of exp, in float32 and in float64."""
+    rng = np.random.default_rng(2)
+    V, dim = 20, 8
+    vocab = Vocabulary([f"w{i}" for i in range(V)], np.arange(V, 0, -1), 0.75)
+    W_in, W_out = (rng.choice([-30.0, 30.0], (V, dim)).astype(np.float32) for _ in range(2))
+    return embedder.PVDMModel(vocab, 2, 3, 5, W_in, W_out), rng.integers(0, V, 50)
+
+
+def test_infer_vector_with_saturated_scores_is_finite():
+    """The sigmoid saturates at 0 or 1 without an overflow warning (an error
+    in this suite), and the solve still returns a finite vector."""
+    model, ids = _saturated_model()
+    vec = infer_vector(model, [model.vocab.words[i] for i in ids], 5)
+    assert np.isfinite(vec).all()
+
+
+def test_training_step_with_saturated_scores_raises_no_overflow():
+    """float32 exp overflows past a score of about 88; training's sigmoid
+    saturates at 0 there without a warning and the loss stays finite."""
+    model, ids = _saturated_model()
+    model.P = np.zeros((1, model.dim), dtype=np.float32)
+    _, ids_pad, active = embedder._pad([ids])
+    negs = model.vocab.sample_noise(np.random.default_rng(3), (*ids_pad.shape, model.negative))
+    alphas = np.full(ids_pad.shape, 0.025, dtype=np.float32)
+    loss = embedder._train_group(model, np.array([0]), ids_pad, active, negs, alphas)
+    assert np.isfinite(loss)
+
+
 def test_infer_oov_error(two_topic_model):
     model, _ = two_topic_model
     with pytest.raises(OOVChunkError):
@@ -639,13 +669,17 @@ def test_self_retrieval(two_topic_model):
 # ---------------------------------------------------------------------------
 # embed_corpus
 
+def _doc(doc_id, label, tokens):
+    text = " ".join(tokens)
+    return Document(doc_id, label, text, text)
+
+
 def _tiny_corpus():
     docs = [
-        Document("x/a", "x", "", tuple(f"topic0word{i % 25}" for i in range(40))),
-        Document("x/b", "x", "", tuple(f"topic0word{(i + 3) % 25}" for i in range(10))),
-        Document("y/a", "y", "", tuple(f"topic1word{i % 25}" for i in range(33))),
+        _doc("x/a", "x", (f"topic0word{i % 25}" for i in range(40))),
+        _doc("x/b", "x", (f"topic0word{(i + 3) % 25}" for i in range(10))),
+        _doc("y/a", "y", (f"topic1word{i % 25}" for i in range(33))),
     ]
-    docs = [Document(d.id, d.label, " ".join(d.tokens), d.tokens) for d in docs]
     return Corpus(docs, LabelSet(["x", "y"]))
 
 
@@ -660,6 +694,33 @@ def test_embed_corpus_counts(two_topic_model):
             assert [e.index for e in embs[doc.id]] == list(range(1, expected + 1))
         total = sum(len(v) for v in embs.values())
         assert total == sum(min(n, len(d.tokens)) for d in corpus)
+
+
+def test_embed_corpus_peak_does_not_grow_with_the_documents():
+    """Documents are chunked as the solve reaches them, so embedding 10 long
+    documents peaks above embedding 2 by no more than the 8 more documents'
+    output: 3 chunk vectors each, with 1 KB of objects per vector."""
+    def corpus(per_class):
+        spec = SyntheticSpec(n_classes=2, docs_per_class=per_class, doc_length=3000,
+                             filler_vocab_size=200, class_vocab_size=10)
+        return generate_synthetic_corpus(spec, seed=per_class)
+
+    small, large = corpus(1), corpus(5)
+    vocab = build_vocab([c for doc in large for c in chunk_document(doc, 1)], 1)
+    rng = np.random.default_rng(0)
+    dim = 16
+    W_in, W_out = (rng.uniform(-0.5, 0.5, (len(vocab), dim)).astype(np.float32) for _ in range(2))
+    model = embedder.PVDMModel(vocab, 3, 3, 5, W_in, W_out)
+    embed_corpus(model, small, 3, steps=5)  # warm
+    peaks = []
+    for c in (small, large):
+        tracemalloc.start()
+        try:
+            embed_corpus(model, c, 3, steps=5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= (len(large) - len(small)) * 3 * (dim * 4 + 1024)
 
 
 def test_embed_corpus_matches_single_inference(two_topic_model):
@@ -709,10 +770,9 @@ def test_training_and_embedding_bit_equal_with_the_searchsorted_sampler():
 def test_embed_corpus_oov_chunk_zero_vector(two_topic_model, caplog):
     model, _ = two_topic_model
     docs = [
-        Document("x/known", "x", "", tuple(f"topic0word{i % 25}" for i in range(20))),
-        Document("y/alien", "y", "", tuple(f"unseen{i}" for i in range(20))),
+        _doc("x/known", "x", (f"topic0word{i % 25}" for i in range(20))),
+        _doc("y/alien", "y", (f"unseen{i}" for i in range(20))),
     ]
-    docs = [Document(d.id, d.label, " ".join(d.tokens), d.tokens) for d in docs]
     corpus = Corpus(docs, LabelSet(["x", "y"]))
     with caplog.at_level("WARNING"):
         embs = embed_corpus(model, corpus, 2, steps=2)
