@@ -34,6 +34,7 @@ PARAM_ORDER = (
     "head.W", "head.b",
 )
 _POOL_BATCH = 256  # documents per eval-mode forward pass in `document_vectors`
+_BN_EPSILON = 1e-8  # added to the batch-norm variance; checkpoints record it
 
 
 @dataclass
@@ -43,8 +44,6 @@ class AggregatorConfig:
     batch_size: int = 32  # 1000 reproduces the reference setup on a full corpus
     epochs: int = 100
     patience: int = 10
-    bn_momentum: float = 0.9
-    bn_epsilon: float = 1e-8
     seed: int = 7  # seeds every training stage, passed explicitly; inference takes no seed
     seeds: list[int] = field(default_factory=list)  # sweep seeds; empty means [seed]
     beta1: ClassVar[float] = 0.9  # Adam's usual constants, not configurable
@@ -373,15 +372,16 @@ class AggregatorModel:
     the input and hidden sizes), batch-norm running statistics, and the label
     inventory."""
 
+    bn_momentum: ClassVar[float] = 0.9  # running-statistics decay in training, not configurable
+
     def __init__(self, labels, params: dict[str, np.ndarray], bn_mean, bn_var, n_chunks: int,
-                 bn_momentum: float = 0.9, bn_epsilon: float = 1e-8):
+                 bn_epsilon: float = _BN_EPSILON):
         self.labels = list(labels)
         self.params = params
         self.embedding_dim = params["lstm_f.Wx"].shape[1]
         self.hidden_size = params["lstm_f.Wh"].shape[1]
         self.bn_mean, self.bn_var = bn_mean, bn_var
         self.n_chunks = int(n_chunks)
-        self.bn_momentum = float(bn_momentum)
         self.bn_epsilon = float(bn_epsilon)
 
     def forward(self, x, mask, training: bool = False) -> ForwardTrace:
@@ -479,8 +479,7 @@ def train_aggregator(
                          np.random.default_rng(seed))
     d = 2 * config.hidden_size
     model = AggregatorModel(list(label_set), params, np.zeros(d, dtype=np.float32),
-                            np.ones(d, dtype=np.float32), n_chunks, config.bn_momentum,
-                            config.bn_epsilon)
+                            np.ones(d, dtype=np.float32), n_chunks)
     adam = AdamState.like(params)
     train_ids = list(split.train)
     gold = {i: label_set.index(corpus.get(i).label) for i in train_ids + list(split.validation)}
@@ -541,19 +540,16 @@ def write_training_log(log: list[dict], path) -> None:
 # checkpointing
 
 def save_aggregator(model: AggregatorModel, path) -> None:
-    """Checkpoint (see `checkpoint`); save -> load -> forward agrees bitwise."""
-    header = {
-        "labels": model.labels, "embedding_dim": model.embedding_dim,
-        "hidden_size": model.hidden_size, "n_chunks": model.n_chunks,
-        "bn_momentum": model.bn_momentum, "bn_epsilon": model.bn_epsilon,
-    }
+    """Checkpoint (see `checkpoint`) of what inference reads, the parameters fixing
+    the sizes; save -> load -> forward agrees bitwise."""
+    header = {"labels": model.labels, "n_chunks": model.n_chunks, "bn_epsilon": model.bn_epsilon}
     arrays = {key: model.params[key] for key in PARAM_ORDER}
     arrays.update({"bn.mean": model.bn_mean, "bn.var": model.bn_var})
     checkpoint.save(path, "aggregator", header, arrays)
 
 
 def load_aggregator(path) -> AggregatorModel:
-    """Reads the parameters and BN statistics only; older files' Adam moments are skipped."""
+    """The model `save_aggregator` wrote; an older file's other fields are skipped."""
     h, a = checkpoint.load(path, "aggregator")
     return AggregatorModel(h["labels"], {key: a[key] for key in PARAM_ORDER}, a["bn.mean"],
-                           a["bn.var"], h["n_chunks"], h["bn_momentum"], h["bn_epsilon"])
+                           a["bn.var"], h["n_chunks"], h["bn_epsilon"])

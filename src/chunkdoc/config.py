@@ -1,12 +1,16 @@
 """Declarative JSON configuration for the batch pipeline.
 
+A config file may set the 24 fields of `PipelineConfig` and of its sections.
 The chunking, embedder, aggregator and svm sections are the stage configs
 themselves; `embedder.per_class` and `aggregator.seed`/`seeds` are the only
-keys that are not stage hyperparameters. Unknown keys, values of the wrong
-JSON type (NaN and infinities are not JSON numbers) and values out of the
-range a stage needs are rejected so typos fail loudly. Command-line flags
-override file values before that one check. The resolved configuration is
-written into each run directory for provenance.
+stage keys that are not hyperparameters. Values that no workload varies are
+class or module constants, not keys: PV-DM's learning rates and noise
+exponent, the batch-norm momentum and epsilon, Adam's constants and SMO's
+stopping rule. Unknown keys, values of the wrong JSON type (NaN and
+infinities are not JSON numbers) and values out of the range a stage needs
+are rejected so typos fail loudly. Command-line flags override file values
+before that one check. The resolved configuration is written into each run
+directory for provenance.
 """
 
 from __future__ import annotations
@@ -181,9 +185,6 @@ def validate_config(config: PipelineConfig) -> None:
     for name in ("epochs", "infer_steps"):
         if getattr(e, name) < 0:
             raise ConfigError(f"embedder.{name} must be >= 0")
-    positive(e.alpha, "embedder.alpha")
-    if not 0.0 <= e.min_alpha <= e.alpha:
-        raise ConfigError(f"embedder.min_alpha must lie in [0, embedder.alpha], got {e.min_alpha}")
     a = config.aggregator
     for name in ("hidden_size", "epochs", "patience"):
         positive(getattr(a, name), f"aggregator.{name}")
@@ -197,9 +198,5 @@ def validate_config(config: PipelineConfig) -> None:
         raise ConfigError(f"aggregator.seeds must be distinct, got {a.seeds}")
     if a.learning_rate < 0:
         raise ConfigError("aggregator.learning_rate must be >= 0")
-    if not 0.0 <= a.bn_momentum < 1.0:
-        raise ConfigError("aggregator.bn_momentum must lie in [0, 1)")
-    positive(a.bn_epsilon, "aggregator.bn_epsilon")
-    positive(config.svm.max_passes, "svm.max_passes")
     if config.run_name in ("", ".", "..") or "/" in config.run_name:
         raise ConfigError(f"run_name must be a plain directory name, got {config.run_name!r}")

@@ -15,7 +15,7 @@ alone: not of the other chunks, its document's name, its position or a run
 seed. A solve reads only the word rows its chunk uses, so its cost and memory
 follow the chunk, not the vocabulary.
 
-`alpha` and `min_alpha` set the learning-rate schedule of training only. The
+`EmbedderConfig.alpha`, `min_alpha` and `noise_exponent` are constants. The
 step count is a setting of the model: `train_pvdm` copies it from the config,
 and `save_pvdm` writes it to the checkpoint with what inference reads (the
 vocabulary and its noise distribution, the word matrices, the window and the
@@ -31,6 +31,7 @@ import zlib
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -63,11 +64,11 @@ class EmbedderConfig:
     epochs: int = 40
     negative: int = 5
     min_count: int = 5
-    alpha: float = 0.025
-    min_alpha: float = 0.0001
-    noise_exponent: float = 0.75
     infer_steps: int = _NEWTON_STEPS  # Newton steps per chunk at inference, capped there
     per_class: int = 30  # training-split documents per label sampled to train PV-DM
+    alpha: ClassVar[float] = 0.025  # Doc2Vec's usual values, not configurable
+    min_alpha: ClassVar[float] = 0.0001
+    noise_exponent: ClassVar[float] = 0.75
 
 
 class Vocabulary:

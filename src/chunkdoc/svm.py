@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -25,14 +26,12 @@ logger = logging.getLogger(__name__)
 class SVMConfig:
     gamma: float | None = None  # None resolves to 1/dim at training time
     C: float = 1.0
-    tolerance: float = 1e-3
-    max_passes: int = 20000  # bound on pair-update iterations
 
     def __post_init__(self):
         if self.gamma is not None and self.gamma <= 0:
             raise ValueError("gamma must be positive")
-        if self.C <= 0 or self.tolerance <= 0:
-            raise ValueError("C and tolerance must be positive")
+        if self.C <= 0:
+            raise ValueError("C must be positive")
 
 
 def rbf_kernel_matrix(X, Y, gamma: float) -> np.ndarray:
@@ -125,9 +124,9 @@ def train_binary_svm(X, y, config: SVMConfig) -> BinarySVM:
         raise DataError("binary SVM training requires both classes present")
     gamma = config.gamma if config.gamma is not None else 1.0 / X.shape[1]
     alpha, bias, iterations = solve_binary_dual(
-        X, y, config.C, gamma, config.tolerance, config.max_passes
+        X, y, config.C, gamma, SVMModel.tolerance, SVMModel.max_passes
     )
-    if iterations >= config.max_passes:
+    if iterations >= SVMModel.max_passes:
         logger.warning("SMO hit the iteration bound (%d); solution may be loose", iterations)
     sv = alpha > 1e-12
     return BinarySVM(
@@ -144,9 +143,9 @@ class SVMModel:
     labels: list[str]
     gamma: float
     C: float
-    tolerance: float
-    max_passes: int
     machines: list[BinarySVM]
+    tolerance: ClassVar[float] = 1e-3  # SMO's stopping rule, not configurable
+    max_passes: ClassVar[int] = 20000  # bound on pair-update iterations
 
     def decision_values(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -168,21 +167,17 @@ def train_multiclass_svm(doc_vectors, labels, label_order, config: SVMConfig,
     if len(label_order) < 2:
         raise DataError("need at least 2 classes")
     gamma = config.gamma if config.gamma is not None else 1.0 / X.shape[1]
-    resolved = SVMConfig(gamma=gamma, C=config.C, tolerance=config.tolerance,
-                         max_passes=config.max_passes)
     machines = []
     for label in label_order:
         y = np.where(np.asarray(labels) == label, 1.0, -1.0)
-        machines.append(train_binary_svm(X, y, resolved))
-    return SVMModel(labels=label_order, gamma=gamma, C=config.C,
-                    tolerance=config.tolerance, max_passes=config.max_passes,
-                    machines=machines)
+        machines.append(train_binary_svm(X, y, config))
+    return SVMModel(labels=label_order, gamma=gamma, C=config.C, machines=machines)
 
 
 def save_svm(model: SVMModel, path) -> None:
-    """Checkpoint (see `checkpoint`); load(save(m)) is bit-exact."""
-    header = {"labels": model.labels, "gamma": model.gamma, "C": model.C,
-              "tolerance": model.tolerance, "max_passes": model.max_passes}
+    """Checkpoint (see `checkpoint`) of the labels, `gamma`, `C` and each machine's
+    arrays, but not SMO's constants; load(save(m)) is bit-exact."""
+    header = {"labels": model.labels, "gamma": model.gamma, "C": model.C}
     arrays = {"bias": np.array([m.bias for m in model.machines], dtype=np.float64)}
     for i, machine in enumerate(model.machines):
         arrays[f"support_vectors.{i}"] = machine.support_vectors
@@ -191,9 +186,9 @@ def save_svm(model: SVMModel, path) -> None:
 
 
 def load_svm(path) -> SVMModel:
+    """The model `save_svm` wrote; an older file's `tolerance` and `max_passes` are skipped."""
     h, a = checkpoint.load(path, "svm")
     machines = [BinarySVM(support_vectors=a[f"support_vectors.{i}"],
                           dual_coef=a[f"dual_coef.{i}"], bias=float(bias))
                 for i, bias in enumerate(a["bias"])]
-    return SVMModel(labels=h["labels"], gamma=h["gamma"], C=h["C"], tolerance=h["tolerance"],
-                    max_passes=h["max_passes"], machines=machines)
+    return SVMModel(labels=h["labels"], gamma=h["gamma"], C=h["C"], machines=machines)

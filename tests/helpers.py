@@ -1,6 +1,7 @@
-"""Shared builders for the CLI and acceptance suites, and the independent SVM
-oracles (scalar kernel, dual objective, projected-gradient dual solver) that
-the SVM and acceptance suites check the SMO solver against."""
+"""Shared builders for the CLI and acceptance suites, the config values that
+are constants, and the independent SVM oracles (scalar kernel, dual
+objective, projected-gradient dual solver) that the SVM and acceptance suites
+check the SMO solver against."""
 
 import json
 from pathlib import Path
@@ -11,6 +12,10 @@ from chunkdoc.svm import rbf_kernel_matrix
 from chunkdoc.synthetic import SyntheticSpec, generate_synthetic_corpus
 
 CLI_LABELS = ["class0", "class1", "class2"]
+# Values that are constants, not config keys: a config file that sets one fails.
+FIXED_KEYS = [("embedder", "alpha"), ("embedder", "min_alpha"), ("embedder", "noise_exponent"),
+              ("aggregator", "bn_momentum"), ("aggregator", "bn_epsilon"),
+              ("svm", "tolerance"), ("svm", "max_passes")]
 
 
 def write_corpus_tree(root: Path, spec: SyntheticSpec, seed: int = 0):

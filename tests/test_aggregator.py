@@ -240,12 +240,11 @@ def test_attention_uw_scaling_preserves_argmax():
 # ---------------------------------------------------------------------------
 # classify / batchnorm / loss
 
-def _seeded_model(labels=("a", "b", "c", "d", "e"), E=4, H=3, n_chunks=3, seed=0,
-                  bn_momentum=0.9, bn_epsilon=1e-8):
+def _seeded_model(labels=("a", "b", "c", "d", "e"), E=4, H=3, n_chunks=3, seed=0):
     """An untrained model holding the initialization `train_aggregator` draws for `seed`."""
     params = init_params(E, H, len(labels), np.random.default_rng(seed))
     return AggregatorModel(list(labels), params, np.zeros(2 * H, dtype=np.float32),
-                           np.ones(2 * H, dtype=np.float32), n_chunks, bn_momentum, bn_epsilon)
+                           np.ones(2 * H, dtype=np.float32), n_chunks)
 
 
 def test_classify_zero_logits_uniform():
@@ -552,16 +551,17 @@ def test_training_zero_learning_rate_keeps_params():
         assert np.array_equal(model.params[key], fresh.params[key])
 
 
-def test_training_zero_lr_frozen_stats_equals_untrained_baseline():
+def test_training_zero_lr_frozen_stats_equals_untrained_baseline(monkeypatch):
     # bn_momentum=1.0 freezes the running statistics, so lr=0 training is a
     # pure no-op and every epoch scores exactly the untrained baseline
     from chunkdoc.evaluation import macro_f1
 
+    monkeypatch.setattr(AggregatorModel, "bn_momentum", 1.0)
     corpus, split, embeddings = _gaussian_embedded_corpus(n_per_class=10)
     config = AggregatorConfig(hidden_size=6, learning_rate=0.0, batch_size=8,
-                              epochs=3, patience=10, bn_momentum=1.0)
+                              epochs=3, patience=10)
     model, log = train_aggregator(corpus, split, embeddings, config, seed=5, n_chunks=3)
-    baseline = _seeded_model(model.labels, 12, 6, seed=5, bn_momentum=1.0)
+    baseline = _seeded_model(model.labels, 12, 6, seed=5)
     gold = np.array([corpus.label_set.index(corpus.get(i).label) for i in split.validation])
     preds, _ = baseline.predict(*collate([embeddings[i] for i in split.validation]))
     baseline_f1 = macro_f1(preds, gold, len(corpus.label_set))
@@ -659,24 +659,26 @@ def test_checkpoint_roundtrip_bitwise_forward(tmp_path):
 
 
 def test_checkpoint_holds_only_parameters_and_bn_statistics(tmp_path):
+    """Only what inference reads: no Adam state, no sizes (the parameters fix
+    them), no batch-norm momentum (only training reads it)."""
     model, _ = _small_trained_model()
     save_aggregator(model, tmp_path / "agg.bin")
     header, arrays = checkpoint.load(tmp_path / "agg.bin", "aggregator")
-    assert set(arrays) == set(PARAM_ORDER) | {"bn.mean", "bn.var"}
-    assert "adam_t" not in header
+    assert list(arrays) == [*PARAM_ORDER, "bn.mean", "bn.var"]
+    assert list(header) == ["labels", "n_chunks", "bn_epsilon"]
 
 
 def test_checkpoint_with_adam_moments_still_loads(tmp_path):
-    """The earlier layout also stored Adam's moments and step count; such a
-    file loads and forwards bit-equal."""
+    """Earlier layouts also stored the sizes, the batch-norm momentum, and
+    Adam's moments and step count; such a file loads, forwards and
+    classifies bit-equal."""
     model, (x, mask) = _small_trained_model()
     state = AdamState.like(model.params)
     adam_step({k: v.copy() for k, v in model.params.items()},
               {k: np.ones_like(v) for k, v in model.params.items()}, state, lr=0.01)
     header = {"labels": model.labels, "embedding_dim": model.embedding_dim,
               "hidden_size": model.hidden_size, "n_chunks": model.n_chunks,
-              "bn_momentum": model.bn_momentum, "bn_epsilon": model.bn_epsilon,
-              "adam_t": state.t}
+              "bn_momentum": 0.9, "bn_epsilon": model.bn_epsilon, "adam_t": state.t}
     arrays = {key: model.params[key] for key in PARAM_ORDER}
     arrays.update({"bn.mean": model.bn_mean, "bn.var": model.bn_var})
     arrays.update({f"adam.m.{key}": state.m[key] for key in PARAM_ORDER})
@@ -687,3 +689,5 @@ def test_checkpoint_with_adam_moments_still_loads(tmp_path):
     b = loaded.forward(x, mask, training=False)
     assert np.array_equal(a.probs, b.probs)
     assert np.array_equal(a.doc_vectors, b.doc_vectors)
+    assert np.array_equal(model.classify(a.doc_vectors), loaded.classify(b.doc_vectors))
+    assert loaded.n_chunks == model.n_chunks and loaded.labels == model.labels

@@ -17,7 +17,7 @@ from chunkdoc.embedder import load_chunk_embeddings
 from chunkdoc.errors import ConfigError
 from chunkdoc.svm import load_svm
 from helpers import CLI_LABELS as LABELS
-from helpers import make_cli_workspace
+from helpers import FIXED_KEYS, make_cli_workspace
 
 
 @pytest.fixture
@@ -140,12 +140,14 @@ def test_unknown_config_key_exit_2(workspace, capsys):
     assert main(["prepare", "--config", str(config_path)]) == 2
 
 
-def test_non_finite_noise_exponent_exit_2(workspace, capsys):
+@pytest.mark.parametrize("section,key", FIXED_KEYS)
+def test_fixed_value_key_exit_2(workspace, capsys, section, key):
+    """A value that is a constant, not a key, fails as an unknown key."""
     _, config_path, config = workspace
-    config["embedder"]["noise_exponent"] = float("nan")  # json writes NaN, and reads it back
+    config.setdefault(section, {})[key] = 1
     config_path.write_text(json.dumps(config), encoding="utf-8")
     assert main(["prepare", "--config", str(config_path)]) == 2
-    assert "embedder.noise_exponent" in capsys.readouterr().err
+    assert f"{section}: unknown keys ['{key}']" in capsys.readouterr().err
 
 
 def test_config_value_of_the_wrong_type_exit_2(workspace, capsys):
@@ -163,13 +165,13 @@ def test_negative_seed_flag_exit_2(workspace, capsys):
     assert not _run_dir(workspace).exists()
 
 
-def test_overflowing_noise_distribution_exit_3(workspace, capsys):
+def test_train_data_error_exit_3(workspace, capsys):
     _, config_path, config = workspace
-    config["embedder"]["noise_exponent"] = 200.0  # counts of 35 and up overflow float64
+    config["embedder"]["per_class"] = 9  # each label has 8 training documents
     config_path.write_text(json.dumps(config), encoding="utf-8")
     assert main(["prepare", "--config", str(config_path)]) == 0
     assert main(["train", "--config", str(config_path)]) == 3
-    assert "noise_exponent=200.0 makes the noise weights" in capsys.readouterr().err
+    assert "label 'class0' has 8 training documents, need 9" in capsys.readouterr().err
 
 
 def _open_fds() -> int:

@@ -5,6 +5,7 @@ import pytest
 from chunkdoc.config import PipelineConfig, load_config, parse_config
 from chunkdoc.corpus import DEFAULT_HEADER_LABELS
 from chunkdoc.errors import ConfigError
+from helpers import FIXED_KEYS
 
 
 def _minimal(tmp_path, **extra):
@@ -115,19 +116,17 @@ def test_sweep_seeds_from_list(tmp_path):
     assert config.sweep_seeds() == [3, 4, 5]
 
 
-# Every key a config file may set, with its default.
+# Every key a config file may set, with its default: 24 values.
 ALL_KEYS = {
     "corpus": {"root": "", "labels": [],
                "boilerplate_labels": sorted(DEFAULT_HEADER_LABELS)},
     "split": {"seed": 13},
     "chunking": {"n_chunks": 3},
     "embedder": {"dim": 100, "window": 5, "epochs": 40, "negative": 5, "min_count": 5,
-                 "alpha": 0.025, "min_alpha": 0.0001, "noise_exponent": 0.75,
                  "infer_steps": 5, "per_class": 30},
     "aggregator": {"hidden_size": 64, "learning_rate": 0.001, "batch_size": 32,
-                   "epochs": 100, "patience": 10, "bn_momentum": 0.9, "bn_epsilon": 1e-8,
-                   "seed": 7, "seeds": []},
-    "svm": {"gamma": None, "C": 1.0, "tolerance": 0.001, "max_passes": 20000},
+                   "epochs": 100, "patience": 10, "seed": 7, "seeds": []},
+    "svm": {"gamma": None, "C": 1.0},
     "classifier": "linear",
     "output_dir": "runs",
     "run_name": "run",
@@ -160,7 +159,10 @@ def test_every_key_accepted_with_its_default(tmp_path):
     ("aggregator", "seeds", [1, 1]),
 ])
 def test_bad_stage_value_is_config_error(tmp_path, section, key, value):
+    """A row of a value that is a constant, not a key (`FIXED_KEYS`), fails as
+    an unknown key whatever the value; every other row fails on its value."""
     data = _minimal(tmp_path)
     data[section] = {key: value}
-    with pytest.raises(ConfigError, match=key):
+    with pytest.raises(ConfigError, match=key) as raised:
         parse_config(data)
+    assert ("unknown keys" in str(raised.value)) == ((section, key) in FIXED_KEYS)

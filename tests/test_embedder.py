@@ -232,8 +232,7 @@ def _two_topic_chunks(seed=0, signature_rate=0.15):
 
 # Stop while the loss is still in clear descent: near its plateau the
 # per-epoch negative resampling noise would swamp the trend.
-TWO_TOPIC_CONFIG = EmbedderConfig(dim=32, window=5, epochs=18, negative=5,
-                                  min_count=2, alpha=0.025, min_alpha=0.0001)
+TWO_TOPIC_CONFIG = EmbedderConfig(dim=32, window=5, epochs=18, negative=5, min_count=2)
 
 
 @pytest.fixture(scope="module")
@@ -314,10 +313,11 @@ def test_zero_learning_rate_keeps_matrices_and_masks_padding(word_ids, window, n
     positions of the shorter chunks neither update nor count."""
     chunks = [Chunk(f"d{b}", 1, tuple(f"w{j}" for j in ids)) for b, ids in enumerate(word_ids)]
     vocab = build_vocab(chunks, 1)
-    config = EmbedderConfig(dim=4, window=window, epochs=epochs, negative=negative,
-                            min_count=1, alpha=0.0, min_alpha=0.0)
+    config = EmbedderConfig(dim=4, window=window, epochs=epochs, negative=negative, min_count=1)
     initial = train_pvdm(chunks, vocab, replace(config, epochs=0), seed)
-    trained = train_pvdm(chunks, vocab, config, seed)
+    with (mock.patch.object(EmbedderConfig, "alpha", 0.0),
+          mock.patch.object(EmbedderConfig, "min_alpha", 0.0)):
+        trained = train_pvdm(chunks, vocab, config, seed)
     assert np.array_equal(trained.W_in, initial.W_in)
     assert np.array_equal(trained.W_out, initial.W_out)
     assert np.array_equal(trained.P, initial.P)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chunkdoc import checkpoint
 from chunkdoc.errors import DataError
-from chunkdoc.svm import (BinarySVM, SVMConfig, load_svm, rbf_kernel_matrix, save_svm,
+from chunkdoc.svm import (BinarySVM, SVMConfig, SVMModel, load_svm, rbf_kernel_matrix, save_svm,
                           solve_binary_dual, train_binary_svm, train_multiclass_svm)
 from helpers import dual_objective, project_box_hyperplane, projected_gradient_dual, rbf_kernel
 
@@ -135,12 +136,13 @@ def test_dual_feasibility_and_box():
         assert abs(float(y @ alpha)) <= 1e-9  # pair updates conserve the constraint
 
 
-def test_margin_property_on_separable_fixture():
+def test_margin_property_on_separable_fixture(monkeypatch):
+    monkeypatch.setattr(SVMModel, "tolerance", 1e-4)
+    monkeypatch.setattr(SVMModel, "max_passes", 50000)
     X, y = _separable_2d(seed=11)
     C = 1000.0
-    config = SVMConfig(gamma=0.5, C=C, tolerance=1e-4, max_passes=50000)
-    alpha, bias, _ = solve_binary_dual(X, y, C, 0.5, config.tolerance, config.max_passes)
-    model = train_binary_svm(X, y, config)
+    alpha, bias, _ = solve_binary_dual(X, y, C, 0.5, 1e-4, 50000)
+    model = train_binary_svm(X, y, SVMConfig(gamma=0.5, C=C))
     decisions = model.decision(X, gamma=0.5)
     non_sv = alpha <= 1e-12
     assert non_sv.any()
@@ -199,10 +201,11 @@ def test_two_class_machines_are_negations():
     assert preds == list(labels)
 
 
-def test_degenerate_identical_vectors():
+def test_degenerate_identical_vectors(monkeypatch):
+    monkeypatch.setattr(SVMModel, "max_passes", 500)
     X = np.ones((9, 3))
     labels = np.array(["a"] * 5 + ["b"] * 4)
-    model = train_multiclass_svm(X, labels, ["a", "b"], SVMConfig(C=1.0, max_passes=500))
+    model = train_multiclass_svm(X, labels, ["a", "b"], SVMConfig(C=1.0))
     [label] = model.predict(np.ones((1, 3)))
     assert label in ("a", "b")
     assert np.isfinite(model.decision_values(np.ones((1, 3)))).all()
@@ -242,10 +245,10 @@ def test_checkpoint_roundtrip(tmp_path):
     model = train_multiclass_svm(X, labels, ["c0", "c1", "c2"], SVMConfig(C=2.0))
     path = tmp_path / "svm.bin"
     save_svm(model, path)
+    assert list(checkpoint.load(path, "svm")[0]) == ["labels", "gamma", "C"]
     loaded = load_svm(path)
     assert loaded.labels == model.labels
-    assert (loaded.gamma, loaded.C, loaded.tolerance, loaded.max_passes) == (
-        model.gamma, model.C, model.tolerance, model.max_passes)
+    assert (loaded.gamma, loaded.C) == (model.gamma, model.C)
     for a, b in zip(model.machines, loaded.machines):
         assert np.array_equal(a.support_vectors, b.support_vectors)
         assert np.array_equal(a.dual_coef, b.dual_coef)
@@ -256,3 +259,18 @@ def test_checkpoint_roundtrip(tmp_path):
     second = tmp_path / "svm2.bin"
     save_svm(loaded, second)
     assert second.read_bytes() == path.read_bytes()
+
+
+def test_checkpoint_with_training_fields_still_loads(tmp_path):
+    """The earlier layout also stored SMO's `tolerance` and `max_passes`; such
+    a file loads and gives bit-equal decision values."""
+    X, labels = _three_clusters(seed=8, n_per=12)
+    model = train_multiclass_svm(X, labels, ["c0", "c1", "c2"], SVMConfig(C=2.0))
+    save_svm(model, tmp_path / "svm.bin")
+    header, arrays = checkpoint.load(tmp_path / "svm.bin", "svm")
+    checkpoint.save(tmp_path / "old.bin", "svm",
+                    {**header, "tolerance": 1e-3, "max_passes": 20000}, arrays)
+    loaded = load_svm(tmp_path / "old.bin")
+    probe = np.random.default_rng(9).standard_normal((5, 2)) * 3
+    assert np.array_equal(model.decision_values(probe), loaded.decision_values(probe))
+    assert (loaded.labels, loaded.gamma, loaded.C) == (model.labels, model.gamma, model.C)
