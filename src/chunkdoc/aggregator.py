@@ -399,7 +399,7 @@ class AggregatorModel:
         (rows of `document_vectors`), normalized with the running statistics.
         Pure; these are `predict`'s `probabilities`, and their argmax is the
         linear label `pipeline.label_documents` gives."""
-        params = _f64(self.params)
+        params = _f64({k: self.params[k] for k in ("bn.gamma", "bn.beta", "head.W", "head.b")})
         normed, _, _, _ = batchnorm_forward(
             doc_vectors, params["bn.gamma"], params["bn.beta"],
             self.bn_mean.astype(np.float64), self.bn_var.astype(np.float64),

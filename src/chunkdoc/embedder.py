@@ -470,7 +470,7 @@ def export_chunk_embeddings(embeddings: dict[str, list[ChunkEmbedding]], path) -
     rows = []
     for doc_id in sorted(embeddings):
         for emb in embeddings[doc_id]:
-            values = "\t".join(f"{v:.9g}" for v in emb.vector)
+            values = "\t".join(f"{v:.9g}" for v in emb.vector.tolist())
             rows.append(f"{doc_id}\t{emb.index}\t{values}\n")
     checkpoint.atomic_write(path, "".join(rows))
 

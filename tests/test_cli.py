@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shutil
@@ -684,6 +685,29 @@ def test_evaluate_split_pools_only_its_documents(trained, capsys):
     assert str(tsv) in capsys.readouterr().err
 
 
+def test_no_flag_of_one_call_is_carried_into_the_next(trained, tmp_path, capsys):
+    """The parser is built once per process, yet each `main` call starts from
+    the defaults: after `--split test --classifier linear`, a plain `evaluate`
+    of a config that selects both heads reports both heads on both splits."""
+    _, _, config = trained
+    run_dir = _run_dir(trained)
+    both = tmp_path / "both.json"
+    both.write_text(json.dumps({**config, "classifier": "both"}), encoding="utf-8")
+    for stale in run_dir.glob("eval_*"):
+        stale.unlink()
+    assert main(["evaluate", "--config", str(both), "--split", "test",
+                 "--classifier", "linear"]) == 0
+    assert sorted(p.name for p in run_dir.glob("eval_*")) == [
+        "eval_test_linear.json", "eval_test_linear.txt"]
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(both)]) == 0
+    assert sorted(p.name for p in run_dir.glob("eval_*")) == sorted(
+        f"eval_{split}_{head}.{ext}" for split in ("test", "validation")
+        for head in ("linear", "svm") for ext in ("json", "txt"))
+    assert [line.split("]")[0] for line in capsys.readouterr().out.splitlines()] == [
+        "[validation/linear", "[validation/svm", "[test/linear", "[test/svm"]
+
+
 @pytest.mark.parametrize("command", ["train", "evaluate"])
 @pytest.mark.parametrize("damage", ["malformed", "no_labels", "unlabeled_id", "empty_train",
                                     "empty_test", "overlap", "repeated"])
@@ -748,6 +772,29 @@ def blas_threads():
         yield get
     finally:
         set_(before)
+
+
+def test_the_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_every_command_runs_the_cmd_function_of_its_name(workspace, monkeypatch):
+    """Each subcommand of the parser maps to a callable `cmd_<name>`, found at
+    call time: a replaced function is the one that runs, and a command renamed
+    without its function fails here rather than when it is first run."""
+    _, config_path, _ = workspace
+    (subparsers,) = [action for action in cli.build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    names = sorted(subparsers.choices)
+    assert names == ["evaluate", "predict", "prepare", "sweep", "train"]
+    ran = []
+    for name in names:
+        assert callable(getattr(cli, f"cmd_{name}"))
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda args: ran.append(args.command) or 0)
+    for name in names:
+        argv = [name, "--config", str(config_path), *(["doc.txt"] if name == "predict" else [])]
+        assert main(argv) == 0
+    assert ran == names
 
 
 @pytest.mark.parametrize("outcome", ["exit 0", "exit 2", "raise"])
