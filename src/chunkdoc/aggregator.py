@@ -4,8 +4,10 @@ linear + softmax head, trained end-to-end by Adam with analytic gradients.
 Both heads read the attention-pooled document vector (`document_vectors`):
 the linear head is `AggregatorModel.classify`, the RBF-SVM head is `svm`.
 
-Parameters are stored float32 (checkpoints round-trip bit-exactly); all math
-runs in float64. The pure forward/backward functions below take a flat
+Parameters, Adam moments and batch-norm running statistics are float64, the
+precision all the math runs in, so nothing is converted per batch and a
+checkpoint round-trips bit-exactly. `load_aggregator` reads an older float32
+file as float64. The pure forward/backward functions below take a flat
 parameter dict so they can be driven directly by the finite-difference
 gradient checks.
 """
@@ -23,6 +25,7 @@ from . import checkpoint
 from .corpus import Corpus, DatasetSplit
 from .embedder import ChunkEmbedding
 from .errors import DataError, TrainingError
+from .evaluation import macro_f1
 
 logger = logging.getLogger(__name__)
 
@@ -77,11 +80,7 @@ def init_params(embedding_dim: int, hidden_size: int, n_classes: int,
     params["bn.beta"] = np.zeros(d)
     params["head.W"] = rng.uniform(-1.0 / np.sqrt(d), 1.0 / np.sqrt(d), (n_classes, d))
     params["head.b"] = np.zeros(n_classes)
-    return {k: v.astype(np.float32) for k, v in params.items()}
-
-
-def _f64(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +164,7 @@ def batchnorm_forward(x, gamma, beta, running_mean, running_var, eps, momentum, 
         new_mean = momentum * running_mean + (1.0 - momentum) * mean
         new_var = momentum * running_var + (1.0 - momentum) * var
     else:
-        mean = np.asarray(running_mean, dtype=np.float64)
-        var = np.asarray(running_var, dtype=np.float64)
-        new_mean, new_var = running_mean, running_var
+        mean, var = new_mean, new_var = running_mean, running_var
     inv_std = 1.0 / np.sqrt(var + eps)
     x_hat = (x - mean) * inv_std
     y = gamma * x_hat + beta
@@ -341,8 +338,8 @@ class AdamState:
     @classmethod
     def like(cls, params: dict[str, np.ndarray]) -> "AdamState":
         return cls(
-            m={k: np.zeros_like(v, dtype=np.float32) for k, v in params.items()},
-            v={k: np.zeros_like(v, dtype=np.float32) for k, v in params.items()},
+            m={k: np.zeros_like(v, dtype=np.float64) for k, v in params.items()},
+            v={k: np.zeros_like(v, dtype=np.float64) for k, v in params.items()},
         )
 
 
@@ -352,25 +349,22 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
     state.t += 1
     b1c = 1.0 - beta1 ** state.t
     b2c = 1.0 - beta2 ** state.t
-    for key, grad in grads.items():
-        g = np.asarray(grad, dtype=np.float64)
-        m = state.m[key].astype(np.float64)
-        v = state.v[key].astype(np.float64)
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * g * g
-        p = params[key].astype(np.float64) - lr * (m / b1c) / (np.sqrt(v / b2c) + eps)
-        params[key] = p.astype(params[key].dtype)
-        state.m[key] = m.astype(np.float32)
-        state.v[key] = v.astype(np.float32)
+    for key, g in grads.items():
+        m, v = state.m[key], state.v[key]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        params[key] -= lr * (m / b1c) / (np.sqrt(v / b2c) + eps)
 
 
 # ---------------------------------------------------------------------------
 # model wrapper
 
 class AggregatorModel:
-    """Stateful wrapper: float32 parameters (keyed like PARAM_ORDER, which fix
-    the input and hidden sizes), batch-norm running statistics, and the label
-    inventory."""
+    """Stateful wrapper: float64 parameters (keyed like PARAM_ORDER, which fix
+    the input and hidden sizes), float64 batch-norm running statistics, and
+    the label inventory."""
 
     bn_momentum: ClassVar[float] = 0.9  # running-statistics decay in training, not configurable
 
@@ -385,13 +379,10 @@ class AggregatorModel:
         self.bn_epsilon = float(bn_epsilon)
 
     def forward(self, x, mask, training: bool = False) -> ForwardTrace:
-        trace = forward_batch(
-            _f64(self.params), self.bn_mean.astype(np.float64), self.bn_var.astype(np.float64),
-            self.bn_epsilon, self.bn_momentum, x, mask, training,
-        )
+        trace = forward_batch(self.params, self.bn_mean, self.bn_var, self.bn_epsilon,
+                              self.bn_momentum, x, mask, training)
         if training:
-            self.bn_mean = trace.new_bn_mean.astype(np.float32)
-            self.bn_var = trace.new_bn_var.astype(np.float32)
+            self.bn_mean, self.bn_var = trace.new_bn_mean, trace.new_bn_var
         return trace
 
     def classify(self, doc_vectors) -> np.ndarray:
@@ -399,13 +390,12 @@ class AggregatorModel:
         (rows of `document_vectors`), normalized with the running statistics.
         Pure; these are `predict`'s `probabilities`, and their argmax is the
         linear label `pipeline.label_documents` gives."""
-        params = _f64({k: self.params[k] for k in ("bn.gamma", "bn.beta", "head.W", "head.b")})
+        p = self.params
         normed, _, _, _ = batchnorm_forward(
-            doc_vectors, params["bn.gamma"], params["bn.beta"],
-            self.bn_mean.astype(np.float64), self.bn_var.astype(np.float64),
+            doc_vectors, p["bn.gamma"], p["bn.beta"], self.bn_mean, self.bn_var,
             self.bn_epsilon, self.bn_momentum, training=False,
         )
-        return softmax(normed @ params["head.W"].T + params["head.b"])
+        return softmax(normed @ p["head.W"].T + p["head.b"])
 
     def predict(self, x, mask) -> tuple[np.ndarray, np.ndarray]:
         trace = self.forward(x, mask, training=False)
@@ -468,8 +458,6 @@ def train_aggregator(
     Validation macro-F1 selects the returned parameters; the log has one
     ``{"epoch", "train_loss", "val_f1"}`` row per epoch.
     """
-    from .evaluation import macro_f1  # local import keeps module layering acyclic
-
     label_set = corpus.label_set
     missing = [i for i in split.train + split.validation if i not in embeddings]
     if missing:
@@ -478,8 +466,7 @@ def train_aggregator(
     params = init_params(embedding_dim, config.hidden_size, len(label_set),
                          np.random.default_rng(seed))
     d = 2 * config.hidden_size
-    model = AggregatorModel(list(label_set), params, np.zeros(d, dtype=np.float32),
-                            np.ones(d, dtype=np.float32), n_chunks)
+    model = AggregatorModel(list(label_set), params, np.zeros(d), np.ones(d), n_chunks)
     adam = AdamState.like(params)
     train_ids = list(split.train)
     gold = {i: label_set.index(corpus.get(i).label) for i in train_ids + list(split.validation)}
@@ -511,7 +498,7 @@ def train_aggregator(
             loss = cross_entropy(trace.probs, gold_idx)
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
-            grads, _ = backward_batch(_f64(model.params), trace, gold_idx)
+            grads, _ = backward_batch(model.params, trace, gold_idx)
             adam_step(model.params, grads, adam, config.learning_rate,
                       config.beta1, config.beta2, config.adam_epsilon)
             epoch_loss += loss * len(batch_ids)
@@ -541,7 +528,8 @@ def write_training_log(log: list[dict], path) -> None:
 
 def save_aggregator(model: AggregatorModel, path) -> None:
     """Checkpoint (see `checkpoint`) of what inference reads, the parameters fixing
-    the sizes; save -> load -> forward agrees bitwise."""
+    the sizes. The arrays are saved as they are, float64 for a model trained
+    here; save -> load -> forward agrees bitwise."""
     header = {"labels": model.labels, "n_chunks": model.n_chunks, "bn_epsilon": model.bn_epsilon}
     arrays = {key: model.params[key] for key in PARAM_ORDER}
     arrays.update({"bn.mean": model.bn_mean, "bn.var": model.bn_var})
@@ -549,7 +537,9 @@ def save_aggregator(model: AggregatorModel, path) -> None:
 
 
 def load_aggregator(path) -> AggregatorModel:
-    """The model `save_aggregator` wrote; an older file's other fields are skipped."""
+    """The model `save_aggregator` wrote, as float64; an older file's other fields
+    are skipped, and its float32 arrays are widened exactly."""
     h, a = checkpoint.load(path, "aggregator")
+    a = {key: a[key].astype(np.float64, copy=False) for key in (*PARAM_ORDER, "bn.mean", "bn.var")}
     return AggregatorModel(h["labels"], {key: a[key] for key in PARAM_ORDER}, a["bn.mean"],
                            a["bn.var"], h["n_chunks"], h["bn_epsilon"])

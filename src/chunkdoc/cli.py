@@ -29,8 +29,9 @@ neither `prepare` nor `sweep` rewrites its resolved_config.json: its test
 documents could be the model's training documents, and the config is the one
 the model was trained under (`train` writes it).
 
-Each command runs at one OpenBLAS thread and leaves the caller's thread count
-as it found it, however the command ends. Every BLAS call in the pipeline is
+Each command runs at one OpenBLAS thread, and logs INFO only if given `-v`;
+it leaves the caller's thread count and `chunkdoc` log level as it found
+them, however the command ends. Every BLAS call in the pipeline is
 small (a syrk of a few hundred rows by 64 per Newton step, 64 x 64 solves,
 LSTM products of a batch by the hidden size), yet after a threaded call
 OpenBLAS's workers keep spinning and take a core from the Python thread: on
@@ -48,18 +49,9 @@ called, so the cached parser never keeps a `cmd_*` that was since replaced.
 Flags override the config file's values before it is checked, so a flag
 value out of range (`--seed -1`, `--chunks 0`) fails like a file value.
 
-Exit codes: 0 success, 2 input/config error (including a config value of the
-wrong type, NaN or infinite, or out of range, such as a negative seed, an
-`aggregator.batch_size` under 2, a repeated `aggregator.seeds` value or a
-`run_name` of `.` or `..`; a run directory another command holds; an
-unreadable config, split.json or input file; a split.json that lists a
-document id twice; a `prepare` whose split differs from the split.json of a
-run that holds pvdm.bin or aggregator.bin; a missing or unreadable checkpoint,
-or one missing a field, or chunk_embeddings.tsv, or one whose row of a scored
-document holds NaN or an infinity; or a run left INCOMPLETE by an unfinished
-`train`), 3
-data error (such as a `predict` input that is empty or not UTF-8), 4 training
-failure.
+Exit codes: 0 success, 2 a config or input error (ConfigError) or an argparse
+usage error, 3 a data error (DataError), 4 a training failure (TrainingError).
+`errors.py` lists what raises each.
 """
 
 from __future__ import annotations
@@ -393,11 +385,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = {"prepare": cmd_prepare, "train": cmd_train, "evaluate": cmd_evaluate,
                "predict": cmd_predict, "sweep": cmd_sweep}[args.command]
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        stream=sys.stderr,
-        format="%(asctime)s %(levelname)s %(name)s: %(message)s",
-    )
+    # installs the stderr handler once per process; `-v` sets the level for this call only
+    logging.basicConfig(format="%(asctime)s %(levelname)s %(name)s: %(message)s")
+    package_logger = logging.getLogger("chunkdoc")
+    caller_level = package_logger.level
+    package_logger.setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
         with one_blas_thread():
             return command(args)
@@ -410,6 +402,8 @@ def main(argv=None) -> int:
     except TrainingError as exc:
         print(f"training error: {exc}", file=sys.stderr)
         return 4
+    finally:
+        package_logger.setLevel(caller_level)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import json
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -325,17 +325,7 @@ class CorpusStats:
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
-        return {
-            "per_label": [
-                {
-                    "label": r.label,
-                    "n_docs": r.n_docs,
-                    "mean_words": r.mean_words,
-                    "mean_sentences": r.mean_sentences,
-                }
-                for r in self.rows
-            ]
-        }
+        return {"per_label": [asdict(r) for r in self.rows]}
 
 
 def corpus_stats(corpus: Corpus) -> CorpusStats:

@@ -1,16 +1,31 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the exit codes the CLI gives them.
 
-The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
-TrainingError -> 4. A config that cannot be read or is not UTF-8, a config or
-flag value of the wrong type, NaN or infinite, or out of range (a negative
-seed, a repeated `aggregator.seeds` value, an `aggregator.batch_size` under 2,
-a `run_name` of `.` or `..`), an unreadable split.json or input file, a
-split.json that lists a document id twice, a `prepare` that would replace the
-split of a run holding pvdm.bin or aggregator.bin with another, a missing or
-unreadable checkpoint (one missing a field, or a pvdm.bin whose word matrices
-hold a NaN or infinite value, included) or chunk_embeddings.tsv,
-or a run left INCOMPLETE by `train`, is a ConfigError. A `predict` input that
-is not UTF-8 or has no tokens is a DataError.
+The CLI exits 0 on success, 2 on a ConfigError, 3 on a DataError and 4 on a
+TrainingError. This is the one list of what raises each.
+
+ConfigError (exit 2):
+- a config that cannot be read or is not UTF-8, or an unknown config key;
+- a config or flag value of the wrong type, NaN or infinite, or out of range:
+  a negative seed, a repeated `aggregator.seeds` value, an
+  `aggregator.batch_size` under 2, a `run_name` of `.` or `..`;
+- a `sweep --n` that is not a comma-separated integer list, is empty, or
+  holds a value under 1 or a repeated value;
+- a run directory another command holds;
+- an unreadable split.json, or one that lists a document id twice;
+- a missing or unreadable input file;
+- a `prepare` that would replace the split of a run holding pvdm.bin or
+  aggregator.bin with another;
+- a missing or unreadable checkpoint, one missing a field, or a pvdm.bin
+  whose word matrices hold a NaN or infinite value;
+- a missing or unreadable chunk_embeddings.tsv, or one that lacks a scored
+  document's chunk vectors or holds a NaN or infinite value in one;
+- a run left INCOMPLETE by an unfinished `train`.
+
+DataError (exit 3): input data that breaks a contract, such as a `predict`
+input that is not UTF-8 or has no tokens, or a corpus too small to split.
+
+TrainingError (exit 4): training diverged (a non-finite aggregator loss or
+PV-DM weight), or every cell of a `sweep` failed.
 """
 
 

@@ -10,7 +10,7 @@ from chunkdoc.aggregator import (PARAM_ORDER, AdamState, AggregatorConfig, Aggre
                                  collate, cross_entropy, document_vectors,
                                  forward_batch, init_params, load_aggregator,
                                  lstm_direction_forward, save_aggregator, softmax,
-                                 train_aggregator, _f64, _sigmoid)
+                                 train_aggregator, _sigmoid)
 from chunkdoc.corpus import Corpus, DatasetSplit, Document, LabelSet
 from chunkdoc.embedder import ChunkEmbedding
 from chunkdoc.errors import DataError
@@ -597,7 +597,7 @@ def test_document_vectors_single_chunk_equals_hidden_state():
     vecs = document_vectors(model, embeddings)
     doc_id = corpus.documents[0].id
     x, mask = collate([embeddings[doc_id]])
-    h, _ = bilstm_forward(_f64(model.params), x, mask)
+    h, _ = bilstm_forward(model.params, x, mask)
     np.testing.assert_allclose(vecs[doc_id], h[0, 0], atol=1e-12)
     assert len(vecs) == len(corpus)
 
@@ -691,3 +691,36 @@ def test_checkpoint_with_adam_moments_still_loads(tmp_path):
     assert np.array_equal(a.doc_vectors, b.doc_vectors)
     assert np.array_equal(model.classify(a.doc_vectors), loaded.classify(b.doc_vectors))
     assert loaded.n_chunks == model.n_chunks and loaded.labels == model.labels
+
+
+def test_training_keeps_every_array_float64():
+    """Parameters and running statistics stay float64 through Adam's steps."""
+    model, _ = _small_trained_model()
+    assert {v.dtype for v in model.params.values()} == {np.dtype(np.float64)}
+    assert model.bn_mean.dtype == model.bn_var.dtype == np.float64
+
+
+def test_float32_checkpoint_loads_as_float64(tmp_path):
+    """A file of float32 arrays, as earlier versions saved every model, loads
+    as float64 and pools and classifies bit-equal to the same arrays widened
+    by `astype(np.float64)`."""
+    corpus, split, embeddings = _gaussian_embedded_corpus(n_per_class=8)
+    config = AggregatorConfig(hidden_size=6, learning_rate=0.01, batch_size=8,
+                              epochs=3, patience=10)
+    trained, _ = train_aggregator(corpus, split, embeddings, config, seed=2, n_chunks=3)
+    narrow = AggregatorModel(trained.labels,
+                             {k: v.astype(np.float32) for k, v in trained.params.items()},
+                             trained.bn_mean.astype(np.float32), trained.bn_var.astype(np.float32),
+                             trained.n_chunks, trained.bn_epsilon)
+    save_aggregator(narrow, tmp_path / "agg.bin")
+    loaded = load_aggregator(tmp_path / "agg.bin")
+    assert {v.dtype for v in (*loaded.params.values(), loaded.bn_mean, loaded.bn_var)} == {
+        np.dtype(np.float64)}
+    widened = AggregatorModel(narrow.labels,
+                              {k: v.astype(np.float64) for k, v in narrow.params.items()},
+                              narrow.bn_mean.astype(np.float64), narrow.bn_var.astype(np.float64),
+                              narrow.n_chunks, narrow.bn_epsilon)
+    got, want = document_vectors(loaded, embeddings), document_vectors(widened, embeddings)
+    assert list(got) == list(want) and all(np.array_equal(got[k], want[k]) for k in want)
+    vecs = np.stack(list(want.values()))
+    assert np.array_equal(loaded.classify(vecs), widened.classify(vecs))

@@ -1,5 +1,6 @@
 import argparse
 import json
+import logging
 import os
 import shutil
 import signal
@@ -706,6 +707,23 @@ def test_no_flag_of_one_call_is_carried_into_the_next(trained, tmp_path, capsys)
         for head in ("linear", "svm") for ext in ("json", "txt"))
     assert [line.split("]")[0] for line in capsys.readouterr().out.splitlines()] == [
         "[validation/linear", "[validation/svm", "[test/linear", "[test/svm"]
+
+
+def test_verbose_holds_for_its_own_call_only(workspace, caplog):
+    """`-v` sets the `chunkdoc` loggers to INFO for the one call that gives it:
+    in one process, a plain `prepare`, then `train -v`, then a plain `train`,
+    only the middle call logs INFO, and the caller's level comes back."""
+    _, config_path, _ = workspace
+    package = logging.getLogger("chunkdoc")
+    before = package.level
+    infos = []
+    for argv in (["prepare"], ["train", "-v"], ["train"]):
+        caplog.clear()
+        assert main([*argv, "--config", str(config_path)]) == 0
+        infos.append(sum(r.levelno == logging.INFO and r.name.startswith("chunkdoc.")
+                         for r in caplog.records))
+        assert package.level == before
+    assert infos[0] == 0 and infos[1] > 0 and infos[2] == 0
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])
