@@ -25,10 +25,6 @@ class Chunk:
 class ChunkingConfig:
     n_chunks: int = 3
 
-    def __post_init__(self):
-        if self.n_chunks < 1:
-            raise ValueError(f"n_chunks must be >= 1, got {self.n_chunks}")
-
 
 def split_into_chunks(tokens, n: int, doc_id: str = "") -> list[Chunk]:
     """Partition `tokens` into min(n, len(tokens)) contiguous chunks.

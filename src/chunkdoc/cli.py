@@ -245,14 +245,30 @@ def _checkpoint(load, path: Path, hint: str = "run `train` first"):
                           "run `train` again") from None
 
 
+def _load_heads(run_dir: Path, with_svm: bool):
+    """The run's aggregator and, if `with_svm`, its SVM (else None). An svm.bin
+    with other labels than aggregator.bin, or whose support vectors are not
+    the aggregator's pooled-vector width, is a ConfigError: it was trained
+    beside another aggregator."""
+    aggregator = _checkpoint(load_aggregator, run_dir / "aggregator.bin")
+    if not with_svm:
+        return aggregator, None
+    path = run_dir / "svm.bin"
+    svm = _checkpoint(load_svm, path, "train with --classifier svm")
+    width = 2 * aggregator.hidden_size
+    if (svm.labels != aggregator.labels
+            or any(m.support_vectors.shape[1:] != (width,) for m in svm.machines)):
+        raise ConfigError(f"{path} does not match {run_dir / 'aggregator.bin'}; "
+                          "run `train` again")
+    return aggregator, svm
+
+
 def _load_run(run_dir: Path, doc_ids: list[str], need_svm: bool):
     """The run's aggregator, its SVM (None unless `need_svm`) and the pooled
     vectors of `doc_ids`, from chunk_embeddings.tsv, which must hold chunks 1..k
     (k <= n_chunks) of each of `doc_ids`, each finite and of the checkpoint's
     embedding_dim."""
-    aggregator = _checkpoint(load_aggregator, run_dir / "aggregator.bin")
-    svm = (_checkpoint(load_svm, run_dir / "svm.bin", "train with --classifier svm")
-           if need_svm else None)
+    aggregator, svm = _load_heads(run_dir, need_svm)
     path = run_dir / "chunk_embeddings.tsv"
     try:
         embeddings = load_chunk_embeddings(path, doc_ids)
@@ -294,9 +310,8 @@ def cmd_predict(args) -> int:
     config = _resolved_config(args)
     run_dir = config.run_dir()
     pvdm = _checkpoint(load_pvdm, run_dir / "pvdm.bin")
-    aggregator = _checkpoint(load_aggregator, run_dir / "aggregator.bin")
     # `train` deletes svm.bin unless it trains the SVM, so the file records the run's heads
-    svm = _checkpoint(load_svm, run_dir / "svm.bin") if (run_dir / "svm.bin").exists() else None
+    aggregator, svm = _load_heads(run_dir, with_svm=(run_dir / "svm.bin").exists())
     input_path = Path(args.input)
     if not input_path.is_file():
         raise ConfigError(f"input file not found: {input_path}")

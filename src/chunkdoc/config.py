@@ -1,16 +1,18 @@
 """Declarative JSON configuration for the batch pipeline.
 
-A config file may set the 24 fields of `PipelineConfig` and of its sections.
+A config file may set the 23 fields of `PipelineConfig` and of its sections.
 The chunking, embedder, aggregator and svm sections are the stage configs
 themselves; `embedder.per_class` and `aggregator.seed`/`seeds` are the only
 stage keys that are not hyperparameters. Values that no workload varies are
 class or module constants, not keys: PV-DM's learning rates and noise
 exponent, the batch-norm momentum and epsilon, Adam's constants and SMO's
-stopping rule. Unknown keys, values of the wrong JSON type (NaN and
-infinities are not JSON numbers) and values out of the range a stage needs
-are rejected so typos fail loudly. Command-line flags override file values
-before that one check. The resolved configuration is written into each run
-directory for provenance.
+stopping rule. The SVM's kernel width `gamma` is derived, not set: it is
+1 / the width of the pooled document vectors. Unknown keys and values of the
+wrong JSON type (NaN and infinities are not JSON numbers) are rejected as the
+file is parsed, and values out of the range a stage needs by
+`validate_config`, the one place that checks ranges, so typos fail loudly.
+Command-line flags override file values before those checks. The resolved
+configuration is written into each run directory for provenance.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import types
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -90,13 +91,9 @@ def _is_json_type(value, want) -> bool:
                 and math.isfinite(value))
     if want is str:
         return isinstance(value, str)
-    if want is type(None):
-        return value is None
-    origin, args = typing.get_origin(want), typing.get_args(want)
-    if origin is list:
-        return isinstance(value, list) and all(_is_json_type(v, args[0]) for v in value)
-    if origin in (typing.Union, types.UnionType):
-        return any(_is_json_type(value, arg) for arg in args)
+    if typing.get_origin(want) is list:
+        (item,) = typing.get_args(want)
+        return isinstance(value, list) and all(_is_json_type(v, item) for v in value)
     return True
 
 
@@ -117,10 +114,7 @@ def _build_section(cls, data, where: str):
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
     _check_types(cls, data, f"{where}.")
-    try:
-        return cls(**data)
-    except ValueError as exc:  # a stage config's own range check
-        raise ConfigError(f"{where}: {exc}") from None
+    return cls(**data)
 
 
 _SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(PipelineConfig)
@@ -171,14 +165,22 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
 
 
 def validate_config(config: PipelineConfig) -> None:
+    """Every range check of a config's values, after their types are checked."""
     def positive(value, name):
         if value <= 0:
             raise ConfigError(f"{name} must be positive, got {value}")
 
+    def plain_name(value, name):  # one directory below its parent; no OS path takes a NUL
+        if value in ("", ".", "..") or "/" in value or "\0" in value:
+            raise ConfigError(f"{name} must be a plain directory name, got {value!r}")
+
     if config.classifier not in HEADS:
         raise ConfigError(f"classifier must be {'|'.join(HEADS)}, got {config.classifier!r}")
-    if len(config.corpus.labels) < 2:
-        raise ConfigError("corpus.labels needs at least 2 labels")
+    config.label_set()  # at least 2 labels, none repeated
+    for label in config.corpus.labels:
+        plain_name(label, "a corpus.labels entry")
+    positive(config.chunking.n_chunks, "chunking.n_chunks")
+    positive(config.svm.C, "svm.C")
     e = config.embedder
     for name in ("dim", "window", "negative", "min_count", "per_class"):
         positive(getattr(e, name), f"embedder.{name}")
@@ -198,5 +200,4 @@ def validate_config(config: PipelineConfig) -> None:
         raise ConfigError(f"aggregator.seeds must be distinct, got {a.seeds}")
     if a.learning_rate < 0:
         raise ConfigError("aggregator.learning_rate must be >= 0")
-    if config.run_name in ("", ".", "..") or "/" in config.run_name:
-        raise ConfigError(f"run_name must be a plain directory name, got {config.run_name!r}")
+    plain_name(config.run_name, "run_name")

@@ -19,7 +19,6 @@ from .chunker import chunk_document
 from .corpus import Corpus, DatasetSplit, LabelSet
 from .embedder import (ChunkEmbedding, EmbedderConfig, PVDMModel, build_vocab,
                        embed_corpus, sample_embedding_training_docs, train_pvdm)
-from .errors import DataError
 from .evaluation import EvalReport, f1_report
 from .svm import SVMConfig, SVMModel, train_multiclass_svm
 
@@ -55,11 +54,11 @@ def train_pipeline(corpus: Corpus, split: DatasetSplit, settings: PipelineSettin
                    n_chunks: int, classifier: str, seed: int) -> TrainedPipeline:
     """Run the full training stack at one chunk count.
 
-    `classifier` is a key of HEADS; the attention aggregator is
-    always trained (the SVM consumes its pooled document vectors).
+    `classifier` is a key of HEADS (another is a KeyError, before any
+    training); the attention aggregator is always trained (the SVM consumes
+    its pooled document vectors).
     """
-    if classifier not in HEADS:
-        raise DataError(f"unknown classifier {classifier!r}")
+    heads = HEADS[classifier]
     sample = sample_embedding_training_docs(corpus, split, settings.embedder.per_class,
                                             seed=[seed, 0])
     train_chunks = [c for doc in sample for c in chunk_document(doc, n_chunks)]
@@ -74,7 +73,7 @@ def train_pipeline(corpus: Corpus, split: DatasetSplit, settings: PipelineSettin
     )
     doc_vecs = document_vectors(aggregator, embeddings)
     svm_model = None
-    if "svm" in HEADS[classifier]:
+    if "svm" in heads:
         train_x = np.stack([doc_vecs[i] for i in split.train])
         train_y = [corpus.get(i).label for i in split.train]
         svm_model = train_multiclass_svm(train_x, train_y, list(corpus.label_set), settings.svm)

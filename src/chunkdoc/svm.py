@@ -3,7 +3,9 @@
 The binary solver is SMO with maximal-violating-pair working-set selection:
 at each iteration the pair with the largest KKT violation gets the exact
 two-variable analytic update, until the violation gap drops below the
-tolerance or the iteration bound is hit. Everything is float64. A trained
+tolerance or the iteration bound is hit. Everything is float64. The kernel
+width `gamma` is not a setting: it is 1 / the width of the pooled document
+vectors, worked out once per training and stored in svm.bin. A trained
 `SVMModel` labels a batch of pooled document vectors by the argmax of its
 per-class decision values.
 """
@@ -24,14 +26,7 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class SVMConfig:
-    gamma: float | None = None  # None resolves to 1/dim at training time
     C: float = 1.0
-
-    def __post_init__(self):
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.C <= 0:
-            raise ValueError("C must be positive")
 
 
 def rbf_kernel_matrix(X, Y, gamma: float) -> np.ndarray:
@@ -116,15 +111,14 @@ class BinarySVM:
         return K @ self.dual_coef + self.bias
 
 
-def train_binary_svm(X, y, config: SVMConfig) -> BinarySVM:
+def train_binary_svm(X, y, C: float, gamma: float) -> BinarySVM:
     """Train one binary machine; labels must be in {-1, +1} with both present."""
     y = np.asarray(y, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
     if not ((y > 0).any() and (y < 0).any()):
         raise DataError("binary SVM training requires both classes present")
-    gamma = config.gamma if config.gamma is not None else 1.0 / X.shape[1]
     alpha, bias, iterations = solve_binary_dual(
-        X, y, config.C, gamma, SVMModel.tolerance, SVMModel.max_passes
+        X, y, C, gamma, SVMModel.tolerance, SVMModel.max_passes
     )
     if iterations >= SVMModel.max_passes:
         logger.warning("SMO hit the iteration bound (%d); solution may be loose", iterations)
@@ -166,11 +160,11 @@ def train_multiclass_svm(doc_vectors, labels, label_order, config: SVMConfig,
     label_order = list(label_order)
     if len(label_order) < 2:
         raise DataError("need at least 2 classes")
-    gamma = config.gamma if config.gamma is not None else 1.0 / X.shape[1]
+    gamma = 1.0 / X.shape[1]
     machines = []
     for label in label_order:
         y = np.where(np.asarray(labels) == label, 1.0, -1.0)
-        machines.append(train_binary_svm(X, y, config))
+        machines.append(train_binary_svm(X, y, config.C, gamma))
     return SVMModel(labels=label_order, gamma=gamma, C=config.C, machines=machines)
 
 
@@ -186,8 +180,11 @@ def save_svm(model: SVMModel, path) -> None:
 
 
 def load_svm(path) -> SVMModel:
-    """The model `save_svm` wrote; an older file's `tolerance` and `max_passes` are skipped."""
+    """The model `save_svm` wrote; an older file's `tolerance` and `max_passes` are
+    skipped. A bias count other than the label count is a ValueError."""
     h, a = checkpoint.load(path, "svm")
+    if len(a["bias"]) != len(h["labels"]):
+        raise ValueError(f"{len(a['bias'])} machines for {len(h['labels'])} labels")
     machines = [BinarySVM(support_vectors=a[f"support_vectors.{i}"],
                           dual_coef=a[f"dual_coef.{i}"], bias=float(bias))
                 for i, bias in enumerate(a["bias"])]

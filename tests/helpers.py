@@ -15,7 +15,7 @@ CLI_LABELS = ["class0", "class1", "class2"]
 # Values that are constants, not config keys: a config file that sets one fails.
 FIXED_KEYS = [("embedder", "alpha"), ("embedder", "min_alpha"), ("embedder", "noise_exponent"),
               ("aggregator", "bn_momentum"), ("aggregator", "bn_epsilon"),
-              ("svm", "tolerance"), ("svm", "max_passes")]
+              ("svm", "gamma"), ("svm", "tolerance"), ("svm", "max_passes")]
 
 
 def write_corpus_tree(root: Path, spec: SyntheticSpec, seed: int = 0):

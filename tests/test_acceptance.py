@@ -281,7 +281,7 @@ def test_criterion_6_svm_correctness():
 
     xor_X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
     xor_y = np.array([1.0, 1.0, -1.0, -1.0])
-    xor_model = train_binary_svm(xor_X, xor_y, SVMConfig(gamma=1.0, C=10.0))
+    xor_model = train_binary_svm(xor_X, xor_y, C=10.0, gamma=1.0)
     assert np.all(np.sign(xor_model.decision(xor_X, gamma=1.0)) == xor_y)
 
     centers = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])

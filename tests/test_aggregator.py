@@ -243,17 +243,16 @@ def test_attention_uw_scaling_preserves_argmax():
 def _seeded_model(labels=("a", "b", "c", "d", "e"), E=4, H=3, n_chunks=3, seed=0):
     """An untrained model holding the initialization `train_aggregator` draws for `seed`."""
     params = init_params(E, H, len(labels), np.random.default_rng(seed))
-    return AggregatorModel(list(labels), params, np.zeros(2 * H, dtype=np.float32),
-                           np.ones(2 * H, dtype=np.float32), n_chunks)
+    return AggregatorModel(list(labels), params, np.zeros(2 * H), np.ones(2 * H), n_chunks)
 
 
 def test_classify_zero_logits_uniform():
     model = _seeded_model()
     d = 2 * model.hidden_size
-    model.params["bn.gamma"] = np.ones(d, dtype=np.float32)
-    model.params["bn.beta"] = np.zeros(d, dtype=np.float32)
-    model.params["head.W"] = np.zeros((5, d), dtype=np.float32)
-    model.params["head.b"] = np.zeros(5, dtype=np.float32)
+    model.params["bn.gamma"] = np.ones(d)
+    model.params["bn.beta"] = np.zeros(d)
+    model.params["head.W"] = np.zeros((5, d))
+    model.params["head.b"] = np.zeros(5)
     probs = model.classify(np.random.default_rng(0).standard_normal((3, d)))
     np.testing.assert_allclose(probs, np.full((3, 5), 0.2), atol=1e-15)
 
@@ -263,12 +262,12 @@ def test_classify_known_softmax():
     # identity head: probabilities proportional to 1, 2, 3, 4
     model = _seeded_model(["a", "b", "c", "d"], 4, 2, n_chunks=1)
     d = 4
-    model.params["bn.gamma"] = np.ones(d, dtype=np.float32)
-    model.params["bn.beta"] = np.zeros(d, dtype=np.float32)
-    model.bn_mean = np.zeros(d, dtype=np.float32)
-    model.bn_var = np.full(d, 1.0 - model.bn_epsilon, dtype=np.float32)
-    model.params["head.W"] = np.eye(4, dtype=np.float32)
-    model.params["head.b"] = np.zeros(4, dtype=np.float32)
+    model.params["bn.gamma"] = np.ones(d)
+    model.params["bn.beta"] = np.zeros(d)
+    model.bn_mean = np.zeros(d)
+    model.bn_var = np.full(d, 1.0 - model.bn_epsilon)
+    model.params["head.W"] = np.eye(4)
+    model.params["head.b"] = np.zeros(4)
     logits = np.log(np.array([[1.0, 2.0, 3.0, 4.0]]))
     probs = model.classify(logits)
     np.testing.assert_allclose(probs, [[0.1, 0.2, 0.3, 0.4]], atol=1e-9)
@@ -480,10 +479,10 @@ def test_masked_padding_changes_nothing():
 # Adam
 
 def test_adam_zero_gradient_keeps_params():
-    params = {"w": np.array([1.5, -2.0], dtype=np.float32)}
+    params = {"w": np.array([1.5, -2.0])}
     state = AdamState.like(params)
     adam_step(params, {"w": np.zeros(2)}, state, lr=0.001)
-    assert np.array_equal(params["w"], np.array([1.5, -2.0], dtype=np.float32))
+    assert np.array_equal(params["w"], np.array([1.5, -2.0]))
 
 
 def test_adam_first_step_magnitude():
@@ -606,8 +605,8 @@ def test_classify_of_document_vectors_matches_predict():
     # the linear head on pooled vectors is the tail of the full forward pass
     corpus, split, embeddings = _gaussian_embedded_corpus(n_per_class=4)
     model = _seeded_model(list(corpus.label_set), 12, 5, seed=3)
-    model.bn_mean = np.linspace(-0.2, 0.2, 10).astype(np.float32)
-    model.bn_var = np.linspace(0.5, 1.5, 10).astype(np.float32)
+    model.bn_mean = np.linspace(-0.2, 0.2, 10)
+    model.bn_var = np.linspace(0.5, 1.5, 10)
     ids = [d.id for d in corpus]
     vecs = document_vectors(model, embeddings)
     probs = model.classify(np.stack([vecs[i] for i in ids]))

@@ -17,7 +17,7 @@ from chunkdoc.aggregator import document_vectors, load_aggregator
 from chunkdoc.cli import main, run_lock
 from chunkdoc.embedder import load_chunk_embeddings
 from chunkdoc.errors import ConfigError
-from chunkdoc.svm import load_svm
+from chunkdoc.svm import load_svm, save_svm
 from helpers import CLI_LABELS as LABELS
 from helpers import FIXED_KEYS, make_cli_workspace
 
@@ -158,6 +158,19 @@ def test_config_value_of_the_wrong_type_exit_2(workspace, capsys):
     config_path.write_text(json.dumps(config), encoding="utf-8")
     assert main(["prepare", "--config", str(config_path)]) == 2
     assert "embedder.dim must be of type int, got '64'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("label", ["..", ".", "", "class0/sub", "class\0"])
+def test_label_that_is_not_a_plain_directory_name_exit_2(workspace, capsys, label):
+    """A label names a directory under the corpus root: `..` or the empty
+    string would load the root's parent or the root itself as a class."""
+    _, config_path, config = workspace
+    config["corpus"]["labels"] = [*LABELS, label]
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["prepare", "--config", str(config_path)]) == 2
+    assert (f"a corpus.labels entry must be a plain directory name, got {label!r}"
+            in capsys.readouterr().err)
+    assert not _run_dir(workspace).exists()
 
 
 def test_negative_seed_flag_exit_2(workspace, capsys):
@@ -552,6 +565,31 @@ def test_checkpoint_without_its_fields_exit_2(trained, capsys, command, kind):
     finally:
         path.write_bytes(good)
     assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+@pytest.mark.parametrize("damage", ["width", "labels"])
+def test_svm_bin_of_another_aggregator_exit_2(trained, capsys, command, damage):
+    """An svm.bin trained beside another aggregator.bin, one of hidden size 6
+    (pooled vectors 12 wide, not 16) or one over other labels, is refused."""
+    _, config_path, config = trained
+    path = _run_dir(trained) / "svm.bin"
+    good = path.read_bytes()
+    svm = load_svm(path)
+    if damage == "width":
+        for machine in svm.machines:
+            machine.support_vectors = machine.support_vectors[:, :12]
+    else:
+        svm.labels = svm.labels[::-1]
+    save_svm(svm, path)
+    args = [command, "--config", str(config_path)]
+    args += ([str(Path(config["corpus"]["root"]) / "class0" / "doc0001.txt")]
+             if command == "predict" else ["--classifier", "svm"])
+    try:
+        assert main(args) == 2
+    finally:
+        path.write_bytes(good)
+    assert f"{path} does not match" in capsys.readouterr().err
 
 
 def test_pvdm_bin_of_the_older_layout_exit_2(trained, capsys):

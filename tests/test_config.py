@@ -1,7 +1,9 @@
 import json
+import re
 
 import pytest
 
+from chunkdoc import config as config_module
 from chunkdoc.config import PipelineConfig, load_config, parse_config
 from chunkdoc.corpus import DEFAULT_HEADER_LABELS
 from chunkdoc.errors import ConfigError
@@ -86,7 +88,7 @@ def test_wrong_type_of_top_level_value_is_config_error(tmp_path):
         parse_config(_minimal(tmp_path, run_name=5))
 
 
-@pytest.mark.parametrize("run_name", ["..", "."])
+@pytest.mark.parametrize("run_name", ["..", ".", "a\0b"])
 def test_run_name_outside_output_dir_is_config_error(tmp_path, run_name):
     with pytest.raises(ConfigError, match="run_name"):
         parse_config(_minimal(tmp_path, run_name=run_name))
@@ -101,12 +103,12 @@ def test_roundtrip_through_json(tmp_path):
 def test_settings_projection(tmp_path):
     data = _minimal(tmp_path)
     data["embedder"] = {"dim": 32, "per_class": 4}
-    data["svm"] = {"gamma": 0.25}
+    data["svm"] = {"C": 0.25}
     config = parse_config(data)
     settings = config.settings()
     assert settings.embedder.dim == 32
     assert settings.per_class == 4
-    assert settings.svm.gamma == 0.25
+    assert settings.svm.C == 0.25
 
 
 def test_sweep_seeds_from_list(tmp_path):
@@ -116,7 +118,7 @@ def test_sweep_seeds_from_list(tmp_path):
     assert config.sweep_seeds() == [3, 4, 5]
 
 
-# Every key a config file may set, with its default: 24 values.
+# Every key a config file may set, with its default: 23 values.
 ALL_KEYS = {
     "corpus": {"root": "", "labels": [],
                "boilerplate_labels": sorted(DEFAULT_HEADER_LABELS)},
@@ -126,11 +128,17 @@ ALL_KEYS = {
                  "infer_steps": 5, "per_class": 30},
     "aggregator": {"hidden_size": 64, "learning_rate": 0.001, "batch_size": 32,
                    "epochs": 100, "patience": 10, "seed": 7, "seeds": []},
-    "svm": {"gamma": None, "C": 1.0},
+    "svm": {"C": 1.0},
     "classifier": "linear",
     "output_dir": "runs",
     "run_name": "run",
 }
+
+
+def test_module_docstring_states_the_number_of_keys():
+    [stated] = re.findall(r"may set the (\d+) fields", config_module.__doc__)
+    leaves = sum(len(v) if isinstance(v, dict) else 1 for v in ALL_KEYS.values())
+    assert int(stated) == leaves
 
 
 def test_every_key_accepted_with_its_default(tmp_path):
@@ -156,7 +164,7 @@ def test_every_key_accepted_with_its_default(tmp_path):
     ("svm", "tolerance", float("nan")), ("aggregator", "learning_rate", float("inf")),
     ("aggregator", "bn_epsilon", float("nan")), ("aggregator", "batch_size", 1),
     ("aggregator", "seed", -1), ("aggregator", "seeds", [1, -1]), ("split", "seed", -3),
-    ("aggregator", "seeds", [1, 1]),
+    ("aggregator", "seeds", [1, 1]), ("corpus", "labels", ["a", "b", "a"]),
 ])
 def test_bad_stage_value_is_config_error(tmp_path, section, key, value):
     """A row of a value that is a constant, not a key (`FIXED_KEYS`), fails as

@@ -77,7 +77,7 @@ def test_projection_is_feasible_and_a_clip(case):
 def test_two_point_symmetric_problem():
     X = np.array([[-1.0], [1.0]])
     y = np.array([-1.0, 1.0])
-    model = train_binary_svm(X, y, SVMConfig(gamma=1.0, C=1000.0))
+    model = train_binary_svm(X, y, C=1000.0, gamma=1.0)
     assert len(model.dual_coef) == 2  # both points support the margin
     assert model.decision(np.array([[0.0]]), gamma=1.0)[0] == pytest.approx(0.0, abs=1e-9)
     assert model.decision(np.array([[-1.0]]), gamma=1.0)[0] < 0
@@ -87,7 +87,7 @@ def test_two_point_symmetric_problem():
 def test_xor_fixture_separated():
     X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
     y = np.array([1.0, 1.0, -1.0, -1.0])
-    model = train_binary_svm(X, y, SVMConfig(gamma=1.0, C=10.0))
+    model = train_binary_svm(X, y, C=10.0, gamma=1.0)
     decisions = model.decision(X, gamma=1.0)
     assert np.all(np.sign(decisions) == y)
 
@@ -142,7 +142,7 @@ def test_margin_property_on_separable_fixture(monkeypatch):
     X, y = _separable_2d(seed=11)
     C = 1000.0
     alpha, bias, _ = solve_binary_dual(X, y, C, 0.5, 1e-4, 50000)
-    model = train_binary_svm(X, y, SVMConfig(gamma=0.5, C=C))
+    model = train_binary_svm(X, y, C=C, gamma=0.5)
     decisions = model.decision(X, gamma=0.5)
     non_sv = alpha <= 1e-12
     assert non_sv.any()
@@ -153,14 +153,13 @@ def test_margin_property_on_separable_fixture(monkeypatch):
 def test_single_class_input_fatal():
     X = np.zeros((4, 2))
     with pytest.raises(DataError):
-        train_binary_svm(X, np.ones(4), SVMConfig(gamma=1.0))
+        train_binary_svm(X, np.ones(4), C=1.0, gamma=1.0)
 
 
 def test_solver_deterministic():
     X, y = _separable_2d(seed=2)
-    config = SVMConfig(gamma=0.7, C=2.0)
-    a = train_binary_svm(X, y, config)
-    b = train_binary_svm(X, y, config)
+    a = train_binary_svm(X, y, C=2.0, gamma=0.7)
+    b = train_binary_svm(X, y, C=2.0, gamma=0.7)
     assert np.array_equal(a.support_vectors, b.support_vectors)
     assert np.array_equal(a.dual_coef, b.dual_coef)
     assert a.bias == b.bias
@@ -194,7 +193,7 @@ def test_three_gaussian_clusters_heldout_accuracy():
 def test_two_class_machines_are_negations():
     X, y = _separable_2d(seed=4)
     labels = np.where(y > 0, "pos", "neg")
-    model = train_multiclass_svm(X, labels, ["neg", "pos"], SVMConfig(gamma=0.5, C=1.0))
+    model = train_multiclass_svm(X, labels, ["neg", "pos"], SVMConfig(C=1.0))
     values = model.decision_values(X)
     np.testing.assert_allclose(values[:, 0], -values[:, 1], atol=5e-3)
     preds = model.predict(X)
@@ -274,3 +273,13 @@ def test_checkpoint_with_training_fields_still_loads(tmp_path):
     probe = np.random.default_rng(9).standard_normal((5, 2)) * 3
     assert np.array_equal(model.decision_values(probe), loaded.decision_values(probe))
     assert (loaded.labels, loaded.gamma, loaded.C) == (model.labels, model.gamma, model.C)
+
+
+def test_checkpoint_with_a_bias_per_other_label_count_is_refused(tmp_path):
+    X, labels = _three_clusters(seed=8, n_per=12)
+    model = train_multiclass_svm(X, labels, ["c0", "c1", "c2"], SVMConfig())
+    save_svm(model, tmp_path / "svm.bin")
+    header, arrays = checkpoint.load(tmp_path / "svm.bin", "svm")
+    checkpoint.save(tmp_path / "svm.bin", "svm", {**header, "labels": ["c0", "c1"]}, arrays)
+    with pytest.raises(ValueError, match="3 machines for 2 labels"):
+        load_svm(tmp_path / "svm.bin")

@@ -130,6 +130,17 @@ def test_unknown_classifier_raises_before_any_cell(tiny_corpus_split, monkeypatc
     assert calls == []
 
 
+def test_train_pipeline_of_an_unknown_classifier_raises_before_training(tiny_corpus_split,
+                                                                        monkeypatch):
+    calls = []
+    monkeypatch.setattr("chunkdoc.pipeline.sample_embedding_training_docs",
+                        lambda *a, **k: calls.append(a))
+    corpus, split = tiny_corpus_split
+    with pytest.raises(KeyError, match="bogus"):
+        train_pipeline(corpus, split, TINY_SETTINGS, n_chunks=1, classifier="bogus", seed=0)
+    assert calls == []
+
+
 def test_svm_setting_trains_and_scores_only_the_svm_head(tiny_corpus_split):
     corpus, split = tiny_corpus_split
     svm_rows = run_chunk_sweep(corpus, split, [1], "svm", [0], TINY_SETTINGS)
