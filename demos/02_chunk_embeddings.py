@@ -2,7 +2,9 @@
 
 Trains the PV-DM model on forty chunks drawn from two disjoint vocabularies,
 then shows that (a) training loss decreases, (b) paragraph vectors cluster by
-topic, and (c) inference places unseen text near the right topic.
+topic, and (c) inference, which scores each word from the paragraph vector and
+the frozen output matrix `W_out` alone, places unseen text near its own
+topic's centroid (cosine about 0.9) and far from the other's.
 
 Run: python demos/02_chunk_embeddings.py
 """
@@ -41,7 +43,7 @@ off = ~np.eye(40, dtype=bool)
 print(f"\nmean cosine within a topic : {sims[same & off].mean():.3f}")
 print(f"mean cosine across topics  : {sims[~same & off].mean():.3f}")
 
-print("\ninferring vectors for fresh text (word matrices frozen):")
+print("\ninferring vectors for fresh text (W_out frozen, no context words):")
 for theme in ("market", "nature"):
     probe = [f"{theme}{j}" for j in rng.integers(0, 25, 60)]
     vec = infer_vector(model, probe, steps=30)

@@ -12,7 +12,9 @@ wrong JSON type (NaN and infinities are not JSON numbers) are rejected as the
 file is parsed, and values out of the range a stage needs by
 `validate_config`, the one place that checks ranges, so typos fail loudly.
 Command-line flags override file values before those checks. The resolved
-configuration is written into each run directory for provenance.
+configuration is written into each run directory for provenance only: it
+need not stay loadable as a config. A `resolved_config.json` written before a
+key was removed sets that key, and loading it exits 2 as an unknown key.
 """
 
 from __future__ import annotations
@@ -201,3 +203,5 @@ def validate_config(config: PipelineConfig) -> None:
     if a.learning_rate < 0:
         raise ConfigError("aggregator.learning_rate must be >= 0")
     plain_name(config.run_name, "run_name")
+    if "\0" in config.output_dir:
+        raise ConfigError(f"output_dir must not hold a NUL, got {config.output_dir!r}")

@@ -1,26 +1,33 @@
 """Paragraph-vector chunk embeddings (PV-DM with negative sampling).
 
 A small sample of documents trains the model; every chunk of every document
-is then embedded by fitting a fresh paragraph vector with the word matrices
-frozen. Training is lockstep SGD: every sample chunk takes its step at
+is then embedded by fitting a fresh paragraph vector with the output word
+matrix frozen. Training is lockstep SGD: every sample chunk takes its step at
 position i together, the batched form of the shared-parameter SGD of Le &
 Mikolov (2014) with negative sampling, each chunk on its own learning-rate
-schedule. Inference minimizes the same negative-sampling loss over the
-paragraph vector alone, plus a small ridge term. With the word matrices
-frozen that loss is convex in the vector, so a few Newton steps solve it to
-float64 precision. Chunks share no trainable state at inference time: each
-chunk is solved on its own, from a random stream keyed on its in-vocabulary
-ids, so its vector is a function of the model, those ids and the step count
-alone: not of the other chunks, its document's name, its position or a run
-seed. A solve reads only the word rows its chunk uses, so its cost and memory
-follow the chunk, not the vocabulary.
+schedule. Inference scores each target from the paragraph vector alone,
+`W_out[t] . P / n_i`: PV-DBOW's objective (Le & Mikolov 2014) on PV-DM's
+trained `W_out`, plus a small ridge term. With the context words in the
+score, as in training, long training leaves the class signal in the word
+matrices and the solved vector keeps only what the context words do not
+predict (at 2000 tokens, test F1 near chance). The loss is convex in the
+vector, so a few Newton steps solve it to float64 precision. Chunks share no
+trainable state at inference time: each chunk is solved on its own, from a
+random stream keyed on its in-vocabulary ids, so its vector is a function of
+the model, those ids and the step count alone: not of the other chunks, its
+document's name, its position or a run seed. A solve reads only the `W_out`
+rows its chunk uses, so its cost and memory follow the chunk, not the
+vocabulary.
 
 `EmbedderConfig.alpha`, `min_alpha` and `noise_exponent` are constants. The
 step count is a setting of the model: `train_pvdm` copies it from the config,
 and `save_pvdm` writes it to the checkpoint with what inference reads (the
-vocabulary and its noise distribution, the word matrices, the window and the
-noise count), so a config edited after training changes no vector. The
+vocabulary and its noise distribution, `W_out`, the window and the noise
+count), so a config edited after training changes no vector. `W_in` and the
 training chunks' paragraph rows `P` are training state and are not saved.
+The checkpoint names its inference rule, and `load_pvdm` refuses a file of
+another rule or of none (one written while inference read `W_in`), whose
+run's chunk vectors were inferred another way.
 """
 
 from __future__ import annotations
@@ -49,12 +56,18 @@ logger = logging.getLogger(__name__)
 _TRAIN_BUDGET_ELEMS = 2_000_000
 # Inference: the ridge weight of the objective, and the cap on Newton steps.
 # Over 8-10 benchmark seeds per workload, ridge 0.1 kept every F1 at 1.0,
-# while 1 lowered the predict workload's linear F1 to 0.893 on 2 of 8 seeds.
-# After five steps, long_docs chunks (667 tokens, gradient norm about 27 at
-# the start) and the test corpora's chunks of 1 to 700 tokens have vectors
-# that more steps leave bit-identical; after four, some last bits differ.
+# while 1 lowered the predict workload's linear F1 to 0.893 on 2 of 8 seeds
+# (measured while the score held the context term). Scored from P alone, the
+# vector lies further from its start. Both workloads' chunks, long_docs
+# chunks of 1 to 700 tokens and the CLI tests' chunks reach the bits that 12
+# steps give within 5 steps; criterion 8a's corpus at 600 tokens needs 6,
+# and at 2000 tokens (n = 1, 3, 10, `per_class` 8 and 24, seeds 0-2) up to 8.
 _RIDGE = 0.1
-_NEWTON_STEPS = 5
+_NEWTON_STEPS = 8
+# The rule `_infer_chunk` follows, recorded in pvdm.bin: a run's chunk vectors
+# were inferred by it, so `predict` must infer by it too. A format marker with
+# one value, not an option.
+_INFERENCE_RULE = "paragraph_only"
 
 
 @dataclass
@@ -168,19 +181,20 @@ def sample_embedding_training_docs(
 
 
 class PVDMModel:
-    """The inference model: vocabulary, input/output word matrices (V, dim),
-    window, noise count and Newton step count. `P`, one paragraph vector per
-    training chunk in `train_pvdm`'s input order, is training state: set on
-    the model `train_pvdm` returns, None on a loaded one."""
+    """The inference model: vocabulary, output word matrix `W_out` (V, dim),
+    window, noise count and Newton step count. The input word matrix `W_in`
+    and `P`, one paragraph vector per training chunk in `train_pvdm`'s input
+    order, are training state: set on the model `train_pvdm` returns, None on
+    a loaded one."""
 
     def __init__(self, vocab: Vocabulary, window: int, negative: int, infer_steps: int,
-                 W_in: np.ndarray, W_out: np.ndarray, P: np.ndarray | None = None):
+                 W_in: np.ndarray | None, W_out: np.ndarray, P: np.ndarray | None = None):
         self.vocab = vocab
         self.window = int(window)
         self.negative = int(negative)
         self.infer_steps = int(infer_steps)
         self.W_in, self.W_out, self.P = W_in, W_out, P
-        self.dim = W_in.shape[1]
+        self.dim = W_out.shape[1]
         self.epoch_losses: list[float] = []
 
     def check_finite(self) -> None:
@@ -325,25 +339,26 @@ def train_pvdm(
 
 @np.errstate(over="ignore")  # exp(-s) overflows to inf: sigmoid 0, exactly
 def _infer_chunk(model: PVDMModel, ids: np.ndarray, steps: int) -> np.ndarray:
-    """A chunk's paragraph vector by a Newton solve of the frozen PV-DM objective.
+    """A chunk's paragraph vector by a Newton solve over `W_out` frozen.
 
-    The vector P minimizes the chunk's negative-sampling loss with the word
-    matrices frozen, plus `_RIDGE / 2 * |P|^2`. The loss sums, over the
-    positions i and their targets t (the center word, label 1, then k noise
-    words, label 0; a noise word equal to the center is skipped), the log
-    loss of `sigmoid(W_out[t] . (ctx_i + P) / n_i)`, where `ctx_i` sums the
-    position's context words and `n_i` counts them plus one for the
-    paragraph; it is convex in P. The chunk draws its start, uniform in
-    +-0.5/dim, then one (L, k) noise set from the stream seeded with the
-    crc32 of its ids as little-endian int64 bytes, and takes
+    The vector P minimizes the chunk's negative-sampling loss, plus
+    `_RIDGE / 2 * |P|^2`. The loss sums, over the positions i and their
+    targets t (the center word, label 1, then k noise words, label 0; a noise
+    word equal to the center is skipped), the log loss of
+    `sigmoid(W_out[t] . P / n_i)`, where `n_i` counts the position's context
+    words in training's window plus one for the paragraph; it is convex in
+    P. Training's context term, the sum of the position's `W_in` rows, is
+    left out (see the module docstring), so `W_in` is not read. The chunk
+    draws its start, uniform in +-0.5/dim, then one (L, k) noise set from
+    the stream seeded with the crc32 of its ids as little-endian int64
+    bytes, and takes
     `min(steps, _NEWTON_STEPS)` Newton steps: 0 steps return the start, and
     any count from the cap up returns the converged vector. The same ids
     thus give the same vector, wherever they come from.
 
-    Only the rows the chunk reads are converted to float64: `W_in` at its
-    tokens and `W_out` at its distinct targets u. A target's score is the
-    fixed `W_out[t] . ctx_i / n_i` plus `W_out[t] . P / n_i`, so the
-    gradient and Hessian sum over u: `sum_u c_u W_out[u] + _RIDGE P` and
+    Only the rows the chunk reads, `W_out` at its distinct targets u, are
+    converted to float64. The gradient and Hessian sum over u:
+    `sum_u c_u W_out[u] + _RIDGE P` and
     `sum_u h_u W_out[u] W_out[u]^T + _RIDGE I`, with `c_u` and `h_u` the
     bincounts of `(sigmoid - label) / n_i` and
     `sigmoid * (1 - sigmoid) / n_i^2` over the targets equal to u. The
@@ -371,16 +386,8 @@ def _infer_chunk(model: PVDMModel, ids: np.ndarray, steps: int) -> np.ndarray:
     bins = bin_of[tgt]
     rows32 = model.W_out[unique]
     rows = rows32.astype(np.float64)
-    words = model.W_in[ids].astype(np.float64)
-    ctx = np.zeros((L, dim))
-    for o in range(1, min(window, L - 1) + 1):  # offsets of L and beyond add nothing
-        ctx[o:] += words[:-o]
-        ctx[:-o] += words[o:]
     i = np.arange(L)
     inv_n = 1.0 / (np.minimum(L, i + window + 1) - np.maximum(0, i - window))[:, None]
-    # Every target's own row, read before the skipped noise words leave their bins.
-    fixed = np.matmul(rows[bins - 1], ctx[:, :, None])[:, :, 0]
-    fixed *= inv_n
     bins[:, 1:][tgt[:, 1:] == ids[:, None]] = 0
     flat = bins.ravel()
     inv_n2 = inv_n * inv_n
@@ -391,7 +398,7 @@ def _infer_chunk(model: PVDMModel, ids: np.ndarray, steps: int) -> np.ndarray:
     diag = hess.reshape(-1)[::dim + 1]  # a view: the ridge lands in hess
     for _ in range(n_steps):
         np.matmul(rows, P, out=proj[1:])
-        sig = 1.0 / (1.0 + np.exp(-(proj[bins] * inv_n + fixed)))
+        sig = 1.0 / (1.0 + np.exp(-(proj[bins] * inv_n)))
         c = np.bincount(flat, (sig * inv_n - label_n).ravel())
         h = np.bincount(flat, (sig * (1.0 - sig) * inv_n2).ravel())
         G = rows32 * np.sqrt(h[1:]).astype(np.float32)[:, None]
@@ -495,23 +502,24 @@ def load_chunk_embeddings(path, doc_ids=None) -> dict[str, list[ChunkEmbedding]]
 
 
 def save_pvdm(model: PVDMModel, path) -> None:
-    """Checkpoint (see `checkpoint`) of what inference reads, `P` left out;
-    save(load(save(m))) writes the same bytes."""
+    """Checkpoint (see `checkpoint`) of what inference reads and the name of
+    its rule, `W_in` and `P` left out; save(load(save(m))) writes the same bytes."""
     vocab = model.vocab
-    header = {"window": model.window, "negative": model.negative,
-              "infer_steps": model.infer_steps, "words": vocab.words,
-              "noise_exponent": vocab.noise_exponent}
-    arrays = {"counts": vocab.counts, "W_in": model.W_in, "W_out": model.W_out}
-    checkpoint.save(path, "pvdm", header, arrays)
+    header = {"inference_rule": _INFERENCE_RULE, "window": model.window,
+              "negative": model.negative, "infer_steps": model.infer_steps,
+              "words": vocab.words, "noise_exponent": vocab.noise_exponent}
+    checkpoint.save(path, "pvdm", header, {"counts": vocab.counts, "W_out": model.W_out})
 
 
 def load_pvdm(path) -> PVDMModel:
-    """The inference model `save_pvdm` wrote, with `P` None. A file without one
-    of its fields (one written before `infer_steps` was saved, say) raises
-    KeyError; a NaN or infinite value in `W_in` or `W_out` raises ValueError."""
+    """The inference model `save_pvdm` wrote, with `W_in` and `P` None. A file
+    without one of its fields (one written before the inference rule was
+    recorded, say) raises KeyError, one of another inference rule or with a
+    NaN or infinite value in `W_out` ValueError."""
     h, a = checkpoint.load(path, "pvdm")
-    for name in ("W_in", "W_out"):
-        if not np.isfinite(a[name]).all():
-            raise ValueError(f"{name} holds non-finite values")
+    if h["inference_rule"] != _INFERENCE_RULE:
+        raise ValueError(f"inference_rule {h['inference_rule']!r} is not {_INFERENCE_RULE!r}")
+    if not np.isfinite(a["W_out"]).all():
+        raise ValueError("W_out holds non-finite values")
     vocab = Vocabulary(h["words"], a["counts"], h["noise_exponent"])
-    return PVDMModel(vocab, h["window"], h["negative"], h["infer_steps"], a["W_in"], a["W_out"])
+    return PVDMModel(vocab, h["window"], h["negative"], h["infer_steps"], None, a["W_out"])

@@ -9,7 +9,8 @@ ConfigError (exit 2):
   a negative seed, a repeated `aggregator.seeds` value, an
   `aggregator.batch_size` under 2, fewer than 2 or a repeated
   `corpus.labels` entry, or a `corpus.labels` entry or `run_name` that is
-  not a plain directory name (empty, `.`, `..`, or holding a `/` or a NUL);
+  not a plain directory name (empty, `.`, `..`, or holding a `/` or a NUL),
+  or an `output_dir` holding a NUL;
 - a `sweep --n` that is not a comma-separated integer list, is empty, or
   holds a value under 1 or a repeated value;
 - a run directory another command holds;
@@ -17,10 +18,11 @@ ConfigError (exit 2):
 - a missing or unreadable input file;
 - a `prepare` that would replace the split of a run holding pvdm.bin or
   aggregator.bin with another;
-- a missing or unreadable checkpoint, one missing a field, a pvdm.bin
-  whose word matrices hold a NaN or infinite value, or an svm.bin that does
-  not match aggregator.bin (other labels, or support vectors of another
-  width than the pooled vectors);
+- a missing or unreadable checkpoint, one missing a field, a pvdm.bin of
+  another inference rule or of none (one written while inference read
+  `W_in`), a pvdm.bin whose `W_out` holds a NaN or infinite value, or an
+  svm.bin that does not match aggregator.bin (other labels, or support
+  vectors of another width than the pooled vectors);
 - a missing or unreadable chunk_embeddings.tsv, or one that lacks a scored
   document's chunk vectors or holds a NaN or infinite value in one;
 - a run left INCOMPLETE by an unfinished `train`.

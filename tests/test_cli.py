@@ -180,6 +180,23 @@ def test_negative_seed_flag_exit_2(workspace, capsys):
     assert not _run_dir(workspace).exists()
 
 
+@pytest.mark.parametrize("source", ["config", "flag"])
+def test_prepare_output_dir_with_a_nul_exit_2(workspace, capsys, source):
+    """No OS path takes a NUL: an `output_dir` holding one, from the config or
+    from `--output`, is refused before any path is used."""
+    tmp_path, config_path, config = workspace
+    output = str(tmp_path / "runs\0x")
+    args = ["prepare", "--config", str(config_path)]
+    if source == "config":
+        config["output_dir"] = output
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+    else:
+        args += ["--output", output]
+    assert main(args) == 2
+    assert f"output_dir must not hold a NUL, got {output!r}" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_train_data_error_exit_3(workspace, capsys):
     _, config_path, config = workspace
     config["embedder"]["per_class"] = 9  # each label has 8 training documents
@@ -405,7 +422,7 @@ def test_predict_non_finite_pvdm_bin_exit_2(trained, capsys):
     saved = path.read_bytes()
     header, arrays = checkpoint.load(path, "pvdm")
     arrays = {k: np.array(v) for k, v in arrays.items()}
-    arrays["W_in"][0, 0] = np.nan
+    arrays["W_out"][0, 0] = np.nan
     checkpoint.save(path, "pvdm", header, arrays)
     document = Path(config["corpus"]["root"]) / "class0" / "doc0001.txt"
     capsys.readouterr()
@@ -415,7 +432,7 @@ def test_predict_non_finite_pvdm_bin_exit_2(trained, capsys):
         path.write_bytes(saved)
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert str(path) in captured.err and "W_in holds non-finite values" in captured.err
+    assert str(path) in captured.err and "W_out holds non-finite values" in captured.err
 
 
 def test_predict_empty_document_exit_3(trained, capsys):
@@ -595,18 +612,18 @@ def test_svm_bin_of_another_aggregator_exit_2(trained, capsys, command, damage):
 def test_pvdm_bin_of_the_older_layout_exit_2(trained, capsys):
     """A pvdm.bin written before the step count was saved, with the paragraph
     rows, chunk keys and vocabulary provenance it held then, is refused by
-    name: without its step count it cannot reproduce the model's inference."""
+    name: without its inference rule it cannot reproduce the model's inference."""
     _, config_path, config = trained
     path = _run_dir(trained) / "pvdm.bin"
     good = path.read_bytes()
     header, arrays = checkpoint.load(path, "pvdm")
-    dim = arrays["W_in"].shape[1]
+    dim = arrays["W_out"].shape[1]
     old_header = {"dim": dim, "window": header["window"], "negative": header["negative"],
                   "words": header["words"], "min_count": 1,
                   "noise_exponent": header["noise_exponent"], "total_tokens": 100,
                   "chunk_doc_ids": ["class0/doc0000"]}
     old_arrays = {"counts": arrays["counts"], "chunk_indices": np.array([1], dtype=np.int64),
-                  "W_in": arrays["W_in"], "W_out": arrays["W_out"],
+                  "W_in": arrays["W_out"], "W_out": arrays["W_out"],
                   "P": np.zeros((1, dim), dtype=np.float32)}
     checkpoint.save(path, "pvdm", old_header, old_arrays)
     document = str(Path(config["corpus"]["root"]) / "class0" / "doc0001.txt")
@@ -615,7 +632,29 @@ def test_pvdm_bin_of_the_older_layout_exit_2(trained, capsys):
     finally:
         path.write_bytes(good)
     err = capsys.readouterr().err
-    assert str(path) in err and "infer_steps" in err
+    assert str(path) in err and "inference_rule" in err
+
+
+def test_pvdm_bin_of_the_context_rule_exit_2(trained, capsys):
+    """A pvdm.bin laid out as it was while inference read `W_in` (`W_in`
+    saved, no inference rule) belongs to a run whose chunk vectors were
+    inferred with the context term, so `predict` refuses it by name."""
+    _, config_path, config = trained
+    path = _run_dir(trained) / "pvdm.bin"
+    good = path.read_bytes()
+    header, arrays = checkpoint.load(path, "pvdm")
+    old_header = {k: v for k, v in header.items() if k != "inference_rule"}
+    old_arrays = {"counts": arrays["counts"], "W_in": arrays["W_out"], "W_out": arrays["W_out"]}
+    checkpoint.save(path, "pvdm", old_header, old_arrays)
+    document = str(Path(config["corpus"]["root"]) / "class0" / "doc0001.txt")
+    capsys.readouterr()
+    try:
+        assert main(["predict", "--config", str(config_path), document]) == 2
+    finally:
+        path.write_bytes(good)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(path) in captured.err and "'inference_rule'" in captured.err
 
 
 def test_evaluate_reads_chunk_vectors_not_pvdm(workspace, capsys):

@@ -125,7 +125,7 @@ ALL_KEYS = {
     "split": {"seed": 13},
     "chunking": {"n_chunks": 3},
     "embedder": {"dim": 100, "window": 5, "epochs": 40, "negative": 5, "min_count": 5,
-                 "infer_steps": 5, "per_class": 30},
+                 "infer_steps": 8, "per_class": 30},
     "aggregator": {"hidden_size": 64, "learning_rate": 0.001, "batch_size": 32,
                    "epochs": 100, "patience": 10, "seed": 7, "seeds": []},
     "svm": {"C": 1.0},
